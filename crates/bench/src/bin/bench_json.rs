@@ -199,12 +199,6 @@ fn main() {
         });
     }
 
-    // NbE A/B: the same workloads under each equivalence engine,
-    // side by side — the measured evidence behind BENCH_nbe.json. The
-    // kernel cases force the engine per `Tc`; the compile cases scope
-    // it over the whole pipeline with the thread override.
-    run_engine_ab(&mut r);
-
     // Serve: per-request latency through a live one-worker compile
     // server (warm elaborator, admission queue, supervision) against
     // the same program compiled one-shot through a fresh pipeline —
@@ -305,58 +299,6 @@ fn run_costs(compare: Option<String>, bless: bool) {
         diffs.len()
     );
     std::process::exit(1);
-}
-
-/// `nbe_ab/...`: each P1-style equivalence family at one representative
-/// size, plus the E1 opaque-list compile, under the NbE machine and
-/// under the legacy substitution engine. Case names end in the engine
-/// (`.../nbe`, `.../subst`) so the pairs line up in the output and a
-/// `--baseline BENCH_nbe.json` run can track either side.
-fn run_engine_ab(r: &mut Runner) {
-    use recmod::kernel::{set_thread_engine, EquivEngine};
-    use recmod::syntax::ast::Con;
-    use recmod::telemetry::Limits;
-
-    type PairGen = fn(usize, u64) -> (Con, Con);
-    let engines = [EquivEngine::Nbe, EquivEngine::Subst];
-    let pairs: [(&str, PairGen); 3] = [
-        ("mu_vs_unrolling", gen_unrolled_pair),
-        ("nested_collapse", gen_nested_pair),
-        ("iso_shao", gen_shao_pair),
-    ];
-    for (family, gen) in pairs {
-        for engine in engines {
-            let name = format!("nbe_ab/{family}/64/{}", engine.name());
-            if !r.wants(&name) {
-                continue;
-            }
-            let (a, b) = gen(64, 42);
-            let mode = if family == "iso_shao" {
-                RecMode::IsoShao
-            } else {
-                RecMode::Equi
-            };
-            let tc = Tc::with_engine(engine, mode, Limits::default());
-            let mut ctx = Ctx::new();
-            r.add_tc(&name, &tc, || {
-                tc.set_fuel(recmod::kernel::DEFAULT_FUEL);
-                tc.con_equiv(&mut ctx, &a, &b, &Kind::Type).unwrap();
-            });
-        }
-    }
-    for engine in engines {
-        let name = format!("nbe_ab/e1_list_compile/opaque/{}", engine.name());
-        if !r.wants(&name) {
-            continue;
-        }
-        let program = recmod_bench::corpus::list_program(true, 20);
-        set_thread_engine(Some(engine));
-        r.add(&name, || {
-            let c = recmod::compile(&program).unwrap();
-            std::hint::black_box(&c);
-        });
-        set_thread_engine(None);
-    }
 }
 
 /// `serve_warm`: one request at a time through a live server (the warm

@@ -128,24 +128,6 @@ fn measure_in_thread(source: &str) -> Costs {
         "kernel.singleton_shortcuts".to_string(),
         kernel.singleton_shortcuts,
     );
-    // S17 NbE engine counters. Under the default engine `whnf_steps`
-    // above reads 0 (it counts only the substitution loop, kept for
-    // RECMOD_EQUIV=subst) and these carry the normalization costs.
-    put(
-        &mut costs,
-        "kernel.eval_steps".to_string(),
-        kernel.eval_steps,
-    );
-    put(
-        &mut costs,
-        "kernel.quote_nodes".to_string(),
-        kernel.quote_nodes,
-    );
-    put(
-        &mut costs,
-        "kernel.env_allocs".to_string(),
-        kernel.env_allocs,
-    );
     for (&name, &v) in &report.counters {
         // Wall-clock derived counters (`*.nanos`) are exactly what this
         // model exists to avoid; interner counters depend on global

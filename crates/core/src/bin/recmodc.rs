@@ -69,11 +69,10 @@
 //!   (default: the system temp directory);
 //! * `--cache-dir DIR` — batch `check` and `serve`: consult and fill a
 //!   content-addressed on-disk artifact cache keyed by source bytes ×
-//!   limits × schema version × equivalence engine. Hits skip the
-//!   pipeline entirely and replay the stored verdict and diagnostics;
-//!   cache trouble (I/O errors, corrupt entries, an uncreatable
-//!   directory) degrades to a C-coded warning on stderr, never a
-//!   failure. See README "Caching";
+//!   limits × schema version. Hits skip the pipeline entirely and
+//!   replay the stored verdict and diagnostics; cache trouble (I/O
+//!   errors, corrupt entries, an uncreatable directory) degrades to a
+//!   C-coded warning on stderr, never a failure. See README "Caching";
 //! * `--no-cache` — ignore `--cache-dir` (run everything uncached).
 //!
 //! Exit codes: `0` success, `1` program error (syntax/type/runtime),

@@ -34,10 +34,6 @@ pub struct BindingStats {
 pub struct StatsReport {
     /// Aggregate kernel counters for the whole compilation.
     pub kernel: KernelStats,
-    /// The equivalence engine the kernel ran (`"nbe"` or `"subst"`) —
-    /// the whnf/cache counters below mean different things per engine,
-    /// so both text and JSON output name it explicitly.
-    pub equiv_engine: &'static str,
     /// The kernel's fuel budget (what `--fuel` set, or the default).
     pub fuel_budget: u64,
     /// Per-binding elaboration timings and judgement counts.
@@ -61,7 +57,6 @@ impl StatsReport {
     ) -> StatsReport {
         StatsReport {
             kernel: compiled.elab.tc.stats(),
-            equiv_engine: compiled.elab.tc.engine().name(),
             fuel_budget: compiled.elab.tc.fuel_budget(),
             bindings: compiled
                 .elab
@@ -86,14 +81,7 @@ impl StatsReport {
                 "schema_version",
                 Json::UInt(recmod_telemetry::SCHEMA_VERSION),
             ),
-            (
-                "kernel",
-                kernel_json(
-                    &self.kernel,
-                    Some(self.fuel_budget),
-                    Some(self.equiv_engine),
-                ),
-            ),
+            ("kernel", kernel_json(&self.kernel, Some(self.fuel_budget))),
             (
                 "bindings",
                 Json::Arr(self.bindings.iter().map(binding_json).collect()),
@@ -123,11 +111,12 @@ impl StatsReport {
         let mut out = String::new();
         let k = &self.kernel;
         out.push_str(&format!(
-            "kernel: fuel {} / {} budget, {} mu-unrolls, \
+            "kernel: fuel {} / {} budget, {} mu-unrolls, {} whnf steps, \
              {} assumption inserts (hwm {}), {} singleton short-circuits\n",
             k.fuel_used(),
             self.fuel_budget,
             k.mu_unrolls,
+            k.whnf_steps,
             k.assumption_inserts,
             k.assumption_hwm,
             k.singleton_shortcuts,
@@ -135,30 +124,10 @@ impl StatsReport {
         for (op, fuel) in k.fuel_pairs().filter(|&(_, f)| f > 0) {
             out.push_str(&format!("  fuel[{}]: {}\n", op.key(), fuel));
         }
-        // The engine determines which step counters are live: the NbE
-        // machine reports eval/quote/env-alloc counts, the substitution
-        // reference engine the classic whnf step count.
-        match self.equiv_engine {
-            "subst" => out.push_str(&format!(
-                "kernel engine [subst]: {} whnf steps\n",
-                k.whnf_steps,
-            )),
-            engine => out.push_str(&format!(
-                "kernel engine [{}]: {} eval steps, {} quote ops, {} env allocs\n",
-                engine, k.eval_steps, k.quote_nodes, k.env_allocs,
-            )),
-        }
         out.push_str(&format!(
-            "kernel caches [{}]: {} whnf hits / {} misses, \
-             {} synth hits / {} misses, {} ptr-eq equalities, \
+            "kernel caches: {} whnf hits / {} misses, {} ptr-eq equalities, \
              {} equiv cache hits\n",
-            self.equiv_engine,
-            k.whnf_cache_hits,
-            k.whnf_cache_misses,
-            k.synth_cache_hits,
-            k.synth_cache_misses,
-            k.equiv_ptr_eqs,
-            k.equiv_cache_hits,
+            k.whnf_cache_hits, k.whnf_cache_misses, k.equiv_ptr_eqs, k.equiv_cache_hits,
         ));
         let i = &self.intern;
         out.push_str(&format!(
@@ -246,14 +215,11 @@ impl StatsReport {
 }
 
 /// The kernel counters as JSON (shared by the aggregate and per-binding
-/// sections; the budget and engine name only appear on the aggregate).
-fn kernel_json(k: &KernelStats, budget: Option<u64>, engine: Option<&str>) -> Json {
+/// sections; the budget only appears on the aggregate).
+fn kernel_json(k: &KernelStats, budget: Option<u64>) -> Json {
     let mut fields = Vec::new();
     if let Some(b) = budget {
         fields.push(("fuel_budget", Json::UInt(b)));
-    }
-    if let Some(e) = engine {
-        fields.push(("equiv_engine", Json::str(e)));
     }
     fields.push(("fuel_used", Json::UInt(k.fuel_used())));
     fields.push((
@@ -271,13 +237,8 @@ fn kernel_json(k: &KernelStats, budget: Option<u64>, engine: Option<&str>) -> Js
     fields.push(("assumption_inserts", Json::UInt(k.assumption_inserts)));
     fields.push(("assumption_hwm", Json::UInt(k.assumption_hwm)));
     fields.push(("singleton_shortcuts", Json::UInt(k.singleton_shortcuts)));
-    fields.push(("eval_steps", Json::UInt(k.eval_steps)));
-    fields.push(("quote_nodes", Json::UInt(k.quote_nodes)));
-    fields.push(("env_allocs", Json::UInt(k.env_allocs)));
     fields.push(("whnf_cache_hits", Json::UInt(k.whnf_cache_hits)));
     fields.push(("whnf_cache_misses", Json::UInt(k.whnf_cache_misses)));
-    fields.push(("synth_cache_hits", Json::UInt(k.synth_cache_hits)));
-    fields.push(("synth_cache_misses", Json::UInt(k.synth_cache_misses)));
     fields.push(("equiv_ptr_eqs", Json::UInt(k.equiv_ptr_eqs)));
     fields.push(("equiv_cache_hits", Json::UInt(k.equiv_cache_hits)));
     Json::obj(fields)
@@ -287,7 +248,7 @@ fn binding_json(b: &BindingStats) -> Json {
     Json::obj([
         ("name", Json::str(&b.name)),
         ("elab_nanos", Json::UInt(b.elab_nanos)),
-        ("kernel", kernel_json(&b.kernel, None, None)),
+        ("kernel", kernel_json(&b.kernel, None)),
     ])
 }
 
@@ -324,6 +285,7 @@ mod tests {
         assert_eq!(report.bindings.len(), 1);
         assert_eq!(report.bindings[0].name, "x");
         let json = report.to_json();
+        assert_eq!(json.get("schema_version").and_then(Json::as_u64), Some(4));
         assert!(json.get("kernel").is_some());
         assert_eq!(
             json.get("eval").map(|j| matches!(j, Json::Null)),
@@ -344,23 +306,23 @@ mod tests {
             "no pointer-equal equivalences"
         );
         assert!(report.intern.hits > 0, "interner never deduplicated a node");
-        assert!(
-            report.kernel.synth_cache_hits > 0,
-            "synthesis memo never hit under the NbE engine"
-        );
         let json = report.to_json();
         assert!(json.get("syntax").is_some());
         let kernel = json.get("kernel").unwrap();
-        assert_eq!(
-            kernel.get("equiv_engine").and_then(Json::as_str),
-            Some("nbe"),
-            "JSON must name the active equivalence engine"
+        assert!(
+            kernel.get("equiv_engine").is_none(),
+            "one equivalence engine: --stats names none"
         );
-        assert!(kernel.get("synth_cache_hits").is_some());
-        assert!(kernel.get("eval_steps").is_some());
+        // The μ-heavy list program reduces by substitution, so the
+        // reduction loop's step counter is live.
+        let whnf_steps = kernel.get("whnf_steps").and_then(Json::as_u64);
+        assert!(
+            whnf_steps.is_some_and(|n| n > 0),
+            "whnf_steps: {whnf_steps:?}"
+        );
         let text = report.render_text();
-        assert!(text.contains("kernel caches [nbe]:"));
-        assert!(text.contains("kernel engine [nbe]:"));
+        assert!(text.contains("kernel caches:"));
+        assert!(text.contains(" whnf steps,"));
         assert!(text.contains("syntax interning:"));
     }
 

@@ -3,13 +3,13 @@
 //!
 //! The kernel's judgements are pure: a file's verdict (ok/error), its
 //! binding summaries, and its structured diagnostics are a function of
-//! exactly four inputs — the source bytes, the resource [`Limits`], the
-//! output schema ([`SCHEMA_VERSION`]), and the equivalence engine. So a
-//! cache entry is addressed by `fnv1a` over precisely that tuple
-//! ([`key`]) and stores the verdict plus everything needed to replay
-//! the file's output without touching the pipeline. `NodeId`s are
-//! deliberately **never** persisted: they are process-stable (the
-//! global interner mints them in first-intern order), not run-stable.
+//! exactly three inputs — the source bytes, the resource [`Limits`], and
+//! the output schema ([`SCHEMA_VERSION`]). So a cache entry is addressed
+//! by `fnv1a` over precisely that tuple ([`key`]) and stores the
+//! verdict plus everything needed to replay the file's output without
+//! touching the pipeline. `NodeId`s are deliberately **never**
+//! persisted: they are process-stable (the global interner mints them in
+//! first-intern order), not run-stable.
 //!
 //! Robustness is the design center, not an afterthought:
 //!
@@ -200,11 +200,15 @@ impl CacheStats {
 }
 
 /// Computes the content address of a compile: the verdict is a pure
-/// function of these four inputs and nothing else. `deadline_ms`
-/// participates (a deadline is part of the requested limits) but
-/// wall-clock *outcomes* are never cached, so a generous deadline can
-/// only ever replay honest ok/error verdicts.
-pub fn key(source: &str, limits: &Limits, engine: &str) -> u64 {
+/// function of the source, the limits and the schema version, and
+/// nothing else. `deadline_ms` participates (a deadline is part of the
+/// requested limits) but wall-clock *outcomes* are never cached, so a
+/// generous deadline can only ever replay honest ok/error verdicts.
+///
+/// `tag` is hashed in last. The driver always passes `""`; the argument
+/// remains only because the benchmark (`perfbench/`) passes the
+/// kernel's engine name.
+pub fn key(source: &str, limits: &Limits, tag: &str) -> u64 {
     fnv1a(&[
         source.as_bytes(),
         &(limits.max_depth as u64).to_le_bytes(),
@@ -214,7 +218,7 @@ pub fn key(source: &str, limits: &Limits, engine: &str) -> u64 {
         &limits.eval_depth.to_le_bytes(),
         &limits.deadline_ms.to_le_bytes(),
         &SCHEMA_VERSION.to_le_bytes(),
-        engine.as_bytes(),
+        tag.as_bytes(),
     ])
 }
 
@@ -557,7 +561,7 @@ mod tests {
     #[test]
     fn round_trips_a_verdict() {
         let cache = Cache::open(&CacheConfig::new(tmp_dir("roundtrip"))).unwrap();
-        let k = key("val x = 1\n", &Limits::default(), "nbe");
+        let k = key("val x = 1\n", &Limits::default(), "");
         assert!(matches!(cache.load(k), Outcome::Miss));
         cache.store(k, &sample_entry());
         let Outcome::Hit(entry) = cache.load(k) else {
@@ -572,18 +576,18 @@ mod tests {
     #[test]
     fn key_separates_every_input() {
         let limits = Limits::default();
-        let base = key("src", &limits, "nbe");
-        assert_ne!(base, key("src2", &limits, "nbe"));
+        let base = key("src", &limits, "");
+        assert_ne!(base, key("src2", &limits, ""));
         assert_ne!(base, key("src", &limits, "subst"));
         let mut bigger = limits;
         bigger.fuel += 1;
-        assert_ne!(base, key("src", &bigger, "nbe"));
+        assert_ne!(base, key("src", &bigger, ""));
     }
 
     #[test]
     fn flipped_byte_is_rejected_by_checksum() {
         let cache = Cache::open(&CacheConfig::new(tmp_dir("poison"))).unwrap();
-        let k = key("val x = 1\n", &Limits::default(), "nbe");
+        let k = key("val x = 1\n", &Limits::default(), "");
         cache.store(k, &sample_entry());
         let path = cache.entry_path(k);
         // Flip the verdict from "ok" to "error"-shaped junk ("qk"): the
@@ -601,7 +605,7 @@ mod tests {
     #[test]
     fn truncated_entry_is_a_silent_miss_not_a_crash() {
         let cache = Cache::open(&CacheConfig::new(tmp_dir("trunc"))).unwrap();
-        let k = key("val x = 1\n", &Limits::default(), "nbe");
+        let k = key("val x = 1\n", &Limits::default(), "");
         cache.store(k, &sample_entry());
         let path = cache.entry_path(k);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -613,7 +617,7 @@ mod tests {
     #[test]
     fn schema_skew_is_a_silent_miss() {
         let cache = Cache::open(&CacheConfig::new(tmp_dir("skew"))).unwrap();
-        let k = key("val x = 1\n", &Limits::default(), "nbe");
+        let k = key("val x = 1\n", &Limits::default(), "");
         cache.store(k, &sample_entry());
         let path = cache.entry_path(k);
         // Rewrite the payload under a bogus schema version *with a
@@ -653,7 +657,7 @@ mod tests {
         .unwrap();
         for i in 0..64u64 {
             cache.store(
-                key(&format!("src{i}"), &Limits::default(), "nbe"),
+                key(&format!("src{i}"), &Limits::default(), ""),
                 &sample_entry(),
             );
         }

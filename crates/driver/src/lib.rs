@@ -30,7 +30,7 @@
 //!
 //! Batches can additionally consult a content-addressed on-disk
 //! artifact cache ([`cache`]) before compiling: verdicts for
-//! previously-seen (source, limits, schema, engine) tuples are replayed
+//! previously-seen (source, limits, schema) tuples are replayed
 //! without touching the pipeline.
 //!
 //! A panic inside one file's compilation is caught at the file
@@ -547,12 +547,7 @@ fn compile_one(
     // lines are rebuilt from the structured diagnostics on a hit, so
     // hits are byte-identical to compiles even under a different
     // display name or --max-errors.
-    let ckey = artifact_cache.map(|c| {
-        (
-            c,
-            cache::key(&job.source, &limits, recmod_kernel::resolve_engine().name()),
-        )
-    });
+    let ckey = artifact_cache.map(|c| (c, cache::key(&job.source, &limits, "")));
     if let Some((c, k)) = ckey {
         if let cache::Outcome::Hit(entry) = c.load(k) {
             let entry = *entry;

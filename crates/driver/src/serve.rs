@@ -146,14 +146,25 @@ impl From<FileStatus> for ResponseStatus {
 
 /// Derives a request's trace id from its admission sequence number:
 /// the SplitMix64 finalizer (the same mixer [`FaultPlan::decide`]
-/// uses) over `seed ^ seq·φ`. Every step is bijective, so ids are
-/// unique per admission seq, and `(seed, seq)` alone determines the
+/// uses) over `seed ^ seq·φ`. Every step is bijective in `seq`, so ids
+/// are unique per admission seq, and `(seed, seq)` alone determines the
 /// id — a seeded `--faults` replay reproduces the exact ids.
+///
+/// W3C trace context treats an all-zero id as invalid, and for each
+/// seed exactly one seq mixes to 0 (seq 0 when the seed is 0). That seq
+/// takes the id seq `u64::MAX` would get instead, which is non-zero and
+/// which no admitted request can reach, so ids stay unique.
 fn derive_trace_id(seed: u64, seq: u64) -> u64 {
-    let mut z = seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let mix = |seq: u64| {
+        let mut z = seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    match mix(seq) {
+        0 => mix(u64::MAX),
+        id => id,
+    }
 }
 
 /// One structured span event of a request's trace: what happened
@@ -170,6 +181,24 @@ fn trace_event(name: &str, detail: Option<String>, start_nanos: u64, dur_nanos: 
         pairs.push(("detail", Json::Str(d)));
     }
     Json::obj(pairs)
+}
+
+impl Pending {
+    /// Appends a [`trace_event`] to the request's trace, building it
+    /// (detail string included) only when the request asked for
+    /// `trace`: an untraced request carries no events, just its id.
+    fn trace(
+        &mut self,
+        name: &str,
+        detail: impl FnOnce() -> Option<String>,
+        start_nanos: u64,
+        dur_nanos: u64,
+    ) {
+        if self.req.trace {
+            self.events
+                .push(trace_event(name, detail(), start_nanos, dur_nanos));
+        }
+    }
 }
 
 /// Nanoseconds from `epoch` to `at` (0 if `at` precedes it).
@@ -681,8 +710,9 @@ struct Pending {
     /// Last (re)enqueue instant: per-attempt queue wait is measured
     /// from here (equals `queued_at` until a retry requeues).
     last_enqueued: Instant,
-    /// Accumulated span events across attempts (see [`trace_event`]);
-    /// echoed in the response when the request asked for `trace`.
+    /// Accumulated span events across attempts (see [`Pending::trace`]);
+    /// echoed in the response when the request asked for `trace`, and
+    /// always empty otherwise.
     events: Vec<Json>,
 }
 
@@ -1016,12 +1046,12 @@ impl Core {
         let started = started.unwrap_or_else(Instant::now);
         let busy = started.elapsed().as_nanos() as u64;
         self.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
-        p.events.push(trace_event(
+        p.trace(
             "serve.attempt",
-            Some(format!("worker={wid} worker-died")),
+            || Some(format!("worker={wid} worker-died")),
             nanos_since(self.epoch, started),
             busy,
-        ));
+        );
         self.session_attempt(
             wid,
             FileEvent {
@@ -1201,12 +1231,13 @@ fn serve_one(
     let dispatched = Instant::now();
     let queue_wait = dispatched.saturating_duration_since(pending.last_enqueued);
     core.metrics.queue_wait.record(queue_wait.as_nanos() as u64);
-    pending.events.push(trace_event(
+    let enqueued = nanos_since(core.epoch, pending.last_enqueued);
+    pending.trace(
         "serve.queue",
-        None,
-        nanos_since(core.epoch, pending.last_enqueued),
+        || None,
+        enqueued,
         queue_wait.as_nanos() as u64,
-    ));
+    );
     // A per-request profiled sink captures pipeline stage spans for
     // traced requests and session profiling. Untraced, unprofiled
     // requests never install one: their hot path stays sink-free, and
@@ -1223,7 +1254,7 @@ fn serve_one(
     // must reach the compile they were aimed at.
     if injection.is_none() {
         if let Some(c) = core.artifact_cache.as_ref() {
-            let k = crate::cache::key(&source, &limits, recmod_kernel::resolve_engine().name());
+            let k = crate::cache::key(&source, &limits, "");
             let looked_up = Instant::now();
             let outcome = {
                 // A recorder frame held across the lookup only: the
@@ -1233,12 +1264,12 @@ fn serve_one(
                 c.load(k)
             };
             let hit = matches!(outcome, crate::cache::Outcome::Hit(_));
-            pending.events.push(trace_event(
+            pending.trace(
                 "serve.cache",
-                Some(if hit { "hit" } else { "miss" }.to_string()),
+                || Some(if hit { "hit" } else { "miss" }.to_string()),
                 nanos_since(core.epoch, looked_up),
                 looked_up.elapsed().as_nanos() as u64,
-            ));
+            );
             if let crate::cache::Outcome::Hit(entry) = outcome {
                 let report = if sink {
                     recmod_telemetry::uninstall()
@@ -1264,12 +1295,12 @@ fn serve_one(
                 core.metrics.work.record(tdiag::recorder_seq());
                 let busy = dispatched.elapsed().as_nanos() as u64;
                 core.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
-                pending.events.push(trace_event(
+                pending.trace(
                     "serve.attempt",
-                    Some(format!("worker={wid} cache-hit")),
+                    || Some(format!("worker={wid} cache-hit")),
                     nanos_since(core.epoch, dispatched),
                     busy,
-                ));
+                );
                 core.session_attempt(
                     wid,
                     FileEvent {
@@ -1417,15 +1448,17 @@ fn serve_one(
 
     let busy = dispatched.elapsed().as_nanos() as u64;
     core.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
-    pending.events.push(trace_event(
+    pending.trace(
         "serve.attempt",
-        Some(format!(
-            "worker={wid} status={}",
-            ResponseStatus::from(status).label()
-        )),
+        || {
+            Some(format!(
+                "worker={wid} status={}",
+                ResponseStatus::from(status).label()
+            ))
+        },
         nanos_since(core.epoch, dispatched),
         busy,
-    ));
+    );
     core.session_attempt(
         wid,
         FileEvent {
@@ -1460,7 +1493,7 @@ fn serve_one(
     if matches!(status, FileStatus::Ok | FileStatus::Error) && fired.is_none() {
         if let Some(c) = core.artifact_cache.as_ref() {
             c.store(
-                crate::cache::key(&source, &limits, recmod_kernel::resolve_engine().name()),
+                crate::cache::key(&source, &limits, ""),
                 &crate::cache::Entry {
                     status,
                     summaries: summaries.clone(),
@@ -2124,6 +2157,14 @@ mod tests {
         assert_eq!(bad.status, ResponseStatus::Error);
         assert!(!bad.diags.is_empty());
         assert!(bad.rendered.iter().any(|l| l.contains("bad.rm:")));
+        // Without --faults the trace seed is 0, and the first admission
+        // (seq 0) must still get a valid (non-zero) W3C trace id.
+        assert_ne!(derive_trace_id(0, 0), 0);
+        assert_ne!(derive_trace_id(0, 0), derive_trace_id(0, 1));
+        let zero = format!("{:016x}", 0);
+        assert_ne!(ok.trace_id.as_deref(), Some(zero.as_str()));
+        assert_ne!(bad.trace_id.as_deref(), Some(zero.as_str()));
+        assert_ne!(ok.trace_id, bad.trace_id);
         server.shutdown();
         let stats = server.stats();
         assert_eq!(stats.accepted, 2);

@@ -18,40 +18,10 @@ use crate::Tc;
 
 impl Tc {
     /// `Γ ⊢ c : κ` — synthesizes the principal kind of `c`.
-    ///
-    /// Under the NbE engine, results are memoized per `(context stamp,
-    /// constructor id)` exactly like weak-head normal forms: synthesis
-    /// is deterministic, a stamp names one exact declaration stack, and
-    /// an interned id one exact constructor, so a cached kind is always
-    /// the kind the rules below would recompute. Equivalence checking
-    /// re-synthesizes the same paths constantly (selfification, natural
-    /// kinds, `check_con` at every application), which made this
-    /// judgement the profile's hottest — the memo is where most of the
-    /// S17 `synth_con` win comes from.
     pub fn synth_con(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Kind> {
         let _j = recmod_telemetry::judgement_span("kernel.synth_con");
         let _depth = self.descend("synth_con")?;
         self.burn(crate::stats::FuelOp::ConKinding)?;
-        // The substitution engine never consults the memo, so it must
-        // not pay for the key either (one intern probe per call).
-        if self.engine() != crate::EquivEngine::Nbe {
-            return self.synth_con_uncached(ctx, c);
-        }
-        let key = (ctx.stamp(), hc(c.clone()).id());
-        if let Some(k) = self.synth_cached(key) {
-            crate::stats::TcStats::bump(&self.stat_cells().synth_cache_hits);
-            recmod_telemetry::count("kernel.synth_cache_hit", 1);
-            return Ok(k);
-        }
-        crate::stats::TcStats::bump(&self.stat_cells().synth_cache_misses);
-        recmod_telemetry::count("kernel.synth_cache_miss", 1);
-        let out = self.synth_con_uncached(ctx, c)?;
-        self.synth_remember(key, out.clone());
-        Ok(out)
-    }
-
-    /// The synthesis rules behind [`Tc::synth_con`].
-    fn synth_con_uncached(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Kind> {
         let _trace = recmod_telemetry::trace_span(|| format!("{} : ?", show::con(c)));
         match c {
             Con::Var(i) => {

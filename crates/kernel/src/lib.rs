@@ -47,7 +47,6 @@ pub mod equiv;
 pub mod error;
 pub mod kind;
 pub mod module;
-pub mod nbe;
 pub mod sig;
 pub mod singleton;
 pub mod stats;
@@ -58,9 +57,8 @@ pub mod whnf;
 
 use recmod_syntax::fxhash::{FxHashMap, FxHashSet};
 use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
 
-use recmod_syntax::ast::{Con, Kind};
+use recmod_syntax::ast::Con;
 use recmod_syntax::intern::NodeId;
 
 pub use ctx::{Ctx, Entry};
@@ -85,62 +83,26 @@ pub enum RecMode {
     IsoShao,
 }
 
-/// Which weak-head normalization engine drives equivalence checking.
+/// The kernel's equivalence engine. There is one: weak-head
+/// normalization by substitution ([`whnf`]) under the coinductive
+/// equivalence algorithm ([`equiv`]), which mirrors the paper's rules.
 ///
-/// Both engines implement the same reduction relation and are held to
-/// identical verdicts, error codes, and diagnostics by the
-/// `nbe-differential` fuzz class; they differ only in *how* they reduce
-/// (and therefore in fuel and counter accounting).
+/// This type exists only because the benchmark (`perfbench/`) tags its
+/// artifact-cache keys with [`resolve_engine`]`().name()`; it has no
+/// other reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EquivEngine {
-    /// The NbE-style environment machine ([`nbe`], S17): β never
-    /// substitutes, arguments are suspended as closures in a per-`Tc`
-    /// bump arena, and syntax is quoted back only at stuck points.
-    /// Also enables the kind-synthesis memo. The default.
-    #[default]
-    Nbe,
-    /// The substitution-driven reference engine (pre-S17), kept alive
-    /// behind `RECMOD_EQUIV=subst` for differential testing.
-    Subst,
-}
+pub struct EquivEngine;
 
 impl EquivEngine {
-    /// The engine's stable name, as reported in `--stats` output.
+    /// The engine's stable name: always `"subst"`.
     pub fn name(self) -> &'static str {
-        match self {
-            EquivEngine::Nbe => "nbe",
-            EquivEngine::Subst => "subst",
-        }
+        "subst"
     }
 }
 
-thread_local! {
-    static ENGINE_OVERRIDE: Cell<Option<EquivEngine>> = const { Cell::new(None) };
-}
-
-/// Forces every subsequently constructed [`Tc`] **on this thread** to
-/// use `engine`; pass `None` to restore the `RECMOD_EQUIV` / default
-/// resolution. Used by the differential fuzzer and the benchmark
-/// harness, which must run both engines in one process.
-pub fn set_thread_engine(engine: Option<EquivEngine>) {
-    ENGINE_OVERRIDE.with(|c| c.set(engine));
-}
-
-fn env_default_engine() -> EquivEngine {
-    static FROM_ENV: OnceLock<EquivEngine> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("RECMOD_EQUIV") {
-        Ok(v) if v.eq_ignore_ascii_case("subst") => EquivEngine::Subst,
-        _ => EquivEngine::Nbe,
-    })
-}
-
-/// The engine a fresh [`Tc`] would use right now: the thread override
-/// if set, else `RECMOD_EQUIV` (read once per process), else
-/// [`EquivEngine::Nbe`].
+/// The kernel's sole equivalence engine (see [`EquivEngine`]).
 pub fn resolve_engine() -> EquivEngine {
-    ENGINE_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(env_default_engine)
+    EquivEngine
 }
 
 /// The default fuel budget for normalization and equivalence checking.
@@ -155,16 +117,12 @@ pub const DEFAULT_FUEL: u64 = 5_000_000;
 #[derive(Debug)]
 pub struct Tc {
     mode: RecMode,
-    engine: EquivEngine,
     fuel: Cell<u64>,
     budget: Cell<u64>,
     limits: Limits,
     depth: Cell<usize>,
     deadline_tick: Cell<u32>,
     stats: stats::TcStats,
-    /// Transient environment nodes for the NbE machine — recycled
-    /// between runs, never interned (see [`nbe`]).
-    nbe: nbe::Arena,
     /// Weak-head normal forms, keyed by (context stamp, constructor id).
     /// Sound because a stamp names one exact declaration stack and
     /// interned ids name one exact constructor (see [`Ctx::stamp`]).
@@ -177,16 +135,9 @@ pub struct Tc {
     /// vacuous, and `Π`/`Σ` comparisons decompose before reaching the
     /// table.
     equiv_cache: RefCell<FxHashSet<(u64, NodeId, NodeId)>>,
-    /// Memoized kind synthesis, keyed like the whnf cache. Only
-    /// consulted under [`EquivEngine::Nbe`] (the substitution engine
-    /// stays byte-for-byte the pre-S17 reference): synthesis is
-    /// deterministic and a stamp names one exact declaration stack, so
-    /// a cached kind is always the kind synthesis would recompute.
-    /// Errors are never cached.
-    synth_cache: RefCell<FxHashMap<(u64, NodeId), Kind>>,
     /// Memoized contractiveness verdicts, keyed by μ constructor id
     /// alone — [`whnf::is_contractive`] is a pure function of the node,
-    /// independent of context, mode, and engine. Brandt–Henglein
+    /// independent of context and mode. Brandt–Henglein
     /// re-tests the same μ on every coinductive step, and each raw test
     /// rebuilds the body's deferral graph, so this single bit per node
     /// is one of the larger S17 wins on μ-heavy programs.
@@ -239,28 +190,17 @@ impl Tc {
 
     /// A checker with an explicit mode and explicit [`Limits`]. The
     /// kernel honors the fuel, recursion-depth, and deadline bounds.
-    /// The equivalence engine comes from [`resolve_engine`].
     pub fn with_mode_and_limits(mode: RecMode, limits: Limits) -> Self {
-        Self::with_engine(resolve_engine(), mode, limits)
-    }
-
-    /// A checker with every knob explicit, forcing a particular
-    /// [`EquivEngine`] regardless of `RECMOD_EQUIV` or the thread
-    /// override (used by the differential rigs).
-    pub fn with_engine(engine: EquivEngine, mode: RecMode, limits: Limits) -> Self {
         Tc {
             mode,
-            engine,
             fuel: Cell::new(limits.fuel),
             budget: Cell::new(limits.fuel),
             limits,
             depth: Cell::new(0),
             deadline_tick: Cell::new(0),
             stats: stats::TcStats::default(),
-            nbe: nbe::Arena::default(),
             whnf_cache: RefCell::new(FxHashMap::default()),
             equiv_cache: RefCell::new(FxHashSet::default()),
-            synth_cache: RefCell::new(FxHashMap::default()),
             mu_contractive: RefCell::new(FxHashMap::default()),
             mu_unroll: RefCell::new(FxHashMap::default()),
         }
@@ -269,11 +209,6 @@ impl Tc {
     /// The recursion mode in force.
     pub fn mode(&self) -> RecMode {
         self.mode
-    }
-
-    /// The equivalence engine in force (fixed at construction).
-    pub fn engine(&self) -> EquivEngine {
-        self.engine
     }
 
     /// The resource limits in force.
@@ -351,31 +286,6 @@ impl Tc {
         &self.stats
     }
 
-    pub(crate) fn nbe_arena(&self) -> &nbe::Arena {
-        &self.nbe
-    }
-
-    /// Looks up a memoized synthesized kind (NbE engine only).
-    pub(crate) fn synth_cached(&self, key: (u64, NodeId)) -> Option<Kind> {
-        if self.engine != EquivEngine::Nbe {
-            return None;
-        }
-        self.synth_cache.borrow().get(&key).cloned()
-    }
-
-    /// Records a synthesized kind (NbE engine only; clearing the table
-    /// first when it has outgrown [`CACHE_CAP`]).
-    pub(crate) fn synth_remember(&self, key: (u64, NodeId), value: Kind) {
-        if self.engine != EquivEngine::Nbe {
-            return;
-        }
-        let mut t = self.synth_cache.borrow_mut();
-        if t.len() >= CACHE_CAP {
-            t.clear();
-        }
-        t.insert(key, value);
-    }
-
     /// Looks up a memoized weak-head normal form.
     pub(crate) fn whnf_cached(&self, key: (u64, NodeId)) -> Option<Con> {
         self.whnf_cache.borrow().get(&key).cloned()
@@ -395,8 +305,7 @@ impl Tc {
     /// test walks the μ body to build its deferral graph; every
     /// equivalence step and every elimination-position unroll re-asks,
     /// so the answer is cached under the node's id (contractiveness is
-    /// a pure function of the node — no context, mode, or engine in
-    /// play). A non-μ answers `false` without touching the table.
+    /// a pure function of the node — no context or mode in play). A non-μ answers `false` without touching the table.
     pub(crate) fn is_contractive_cached(&self, c: &Con) -> bool {
         if !matches!(c, Con::Mu(_, _)) {
             return false;
@@ -454,29 +363,22 @@ impl Tc {
         t.insert((stamp, b, a));
     }
 
-    /// Drops every memoized whnf/equivalence/synthesis entry and the
-    /// NbE transient arena (the interning tables in `recmod-syntax`
-    /// are untouched).
+    /// Drops every memoized whnf/equivalence/μ entry (the interning
+    /// tables in `recmod-syntax` are untouched).
     pub fn clear_caches(&self) {
         self.whnf_cache.borrow_mut().clear();
         self.equiv_cache.borrow_mut().clear();
-        self.synth_cache.borrow_mut().clear();
         self.mu_contractive.borrow_mut().clear();
         self.mu_unroll.borrow_mut().clear();
-        self.nbe.reset();
     }
 
     /// Re-arms the checker for a fresh run under new [`Limits`] while
     /// keeping its memo tables **warm**: fuel and the live recursion
-    /// depth reset, the deadline is the new one, but the whnf,
-    /// equivalence, and kind-synthesis caches (and the judgement
-    /// counters) carry over. The NbE environment arena, by contrast,
-    /// is *reset* — environments are transients of a single machine
-    /// run and must never survive a re-arm (a run abandoned by a
-    /// worker panic could otherwise leave nodes behind).
+    /// depth reset, the deadline is the new one, but the whnf and
+    /// equivalence caches (and the judgement counters) carry over.
     ///
     /// This is the batch driver's per-file reset. Reuse is sound
-    /// because all three caches are keyed by context stamps: the empty
+    /// because both caches are keyed by context stamps: the empty
     /// context is always stamp `0` (the same context in every file),
     /// and non-empty stamps are drawn from a thread-local counter that
     /// never repeats, so entries recorded under a previous file's
@@ -497,10 +399,8 @@ impl Tc {
         self.depth.set(0);
         self.deadline_tick.set(0);
         self.limits = limits;
-        self.nbe.reset();
         self.whnf_cache.borrow_mut().retain(|(s, _), _| *s == 0);
         self.equiv_cache.borrow_mut().retain(|(s, _, _)| *s == 0);
-        self.synth_cache.borrow_mut().retain(|(s, _), _| *s == 0);
     }
 }
 
@@ -584,17 +484,13 @@ mod renew_tests {
                 .unwrap();
         });
         let dead = tc.whnf_cache.borrow().keys().any(|(s, _)| *s != 0)
-            || tc.synth_cache.borrow().keys().any(|(s, _)| *s != 0)
             || tc.equiv_cache.borrow().iter().any(|(s, _, _)| *s != 0);
         assert!(dead, "a binder-scoped query must record non-zero stamps");
 
         tc.renew(Limits::default());
         assert!(tc.whnf_cache.borrow().keys().all(|(s, _)| *s == 0));
-        assert!(tc.synth_cache.borrow().keys().all(|(s, _)| *s == 0));
         assert!(tc.equiv_cache.borrow().iter().all(|(s, _, _)| *s == 0));
-        let warm = !tc.whnf_cache.borrow().is_empty()
-            || !tc.equiv_cache.borrow().is_empty()
-            || !tc.synth_cache.borrow().is_empty();
+        let warm = !tc.whnf_cache.borrow().is_empty() || !tc.equiv_cache.borrow().is_empty();
         assert!(warm, "stamp-0 entries must survive the pruning");
     }
 

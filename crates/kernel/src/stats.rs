@@ -1,8 +1,8 @@
 //! Always-on judgement counters for the kernel.
 //!
 //! [`Tc`](crate::Tc) carries a [`TcStats`] of plain `Cell<u64>`s: every
-//! fuel tick is attributed to the [`FuelOp`] that burned it, and the
-//! equivalence/normalization engines record μ-unrolls, weak-head steps,
+//! fuel tick is attributed to the [`FuelOp`] that burned it, and
+//! equivalence and normalization record μ-unrolls, weak-head steps,
 //! coinductive-assumption churn, and singleton short-circuits. The
 //! counters cost one `Cell` add per event (they are *not* gated on the
 //! telemetry sink), which keeps [`crate::TypeError::FuelExhausted`]
@@ -114,11 +114,6 @@ pub struct TcStats {
     pub(crate) whnf_cache_misses: Cell<u64>,
     pub(crate) equiv_ptr_eqs: Cell<u64>,
     pub(crate) equiv_cache_hits: Cell<u64>,
-    pub(crate) eval_steps: Cell<u64>,
-    pub(crate) quote_nodes: Cell<u64>,
-    pub(crate) env_allocs: Cell<u64>,
-    pub(crate) synth_cache_hits: Cell<u64>,
-    pub(crate) synth_cache_misses: Cell<u64>,
 }
 
 impl TcStats {
@@ -161,11 +156,7 @@ impl TcStats {
             whnf_cache_misses: self.whnf_cache_misses.get(),
             equiv_ptr_eqs: self.equiv_ptr_eqs.get(),
             equiv_cache_hits: self.equiv_cache_hits.get(),
-            eval_steps: self.eval_steps.get(),
-            quote_nodes: self.quote_nodes.get(),
-            env_allocs: self.env_allocs.get(),
-            synth_cache_hits: self.synth_cache_hits.get(),
-            synth_cache_misses: self.synth_cache_misses.get(),
+            ..KernelStats::default()
         }
     }
 
@@ -183,11 +174,6 @@ impl TcStats {
         self.whnf_cache_misses.set(0);
         self.equiv_ptr_eqs.set(0);
         self.equiv_cache_hits.set(0);
-        self.eval_steps.set(0);
-        self.quote_nodes.set(0);
-        self.env_allocs.set(0);
-        self.synth_cache_hits.set(0);
-        self.synth_cache_misses.set(0);
     }
 }
 
@@ -215,16 +201,20 @@ pub struct KernelStats {
     pub equiv_ptr_eqs: u64,
     /// Kind-`T` equivalence queries answered from the proven-pair table.
     pub equiv_cache_hits: u64,
-    /// NbE machine transitions (the environment-machine analogue of
-    /// `whnf_steps`, which counts only the substitution engine's loop).
+    /// Never bumped: always 0. Kept only because the benchmark
+    /// (`perfbench/`) reads it; nothing else does.
     pub eval_steps: u64,
-    /// Readback (quote) operations performed by the NbE machine.
+    /// Never bumped: always 0. Kept only because the benchmark
+    /// (`perfbench/`) reads it; nothing else does.
     pub quote_nodes: u64,
-    /// Environment nodes allocated in the NbE bump arena.
+    /// Never bumped: always 0. Kept only because the benchmark
+    /// (`perfbench/`) reads it; nothing else does.
     pub env_allocs: u64,
-    /// Kind syntheses answered from the memo table (NbE engine only).
+    /// Never bumped: always 0. Kept only because the benchmark
+    /// (`perfbench/`) reads it; nothing else does.
     pub synth_cache_hits: u64,
-    /// Kind syntheses that ran the synthesis rules (NbE engine only).
+    /// Never bumped: always 0. Kept only because the benchmark
+    /// (`perfbench/`) reads it; nothing else does.
     pub synth_cache_misses: u64,
 }
 
@@ -268,15 +258,7 @@ impl KernelStats {
             equiv_cache_hits: self
                 .equiv_cache_hits
                 .saturating_sub(earlier.equiv_cache_hits),
-            eval_steps: self.eval_steps.saturating_sub(earlier.eval_steps),
-            quote_nodes: self.quote_nodes.saturating_sub(earlier.quote_nodes),
-            env_allocs: self.env_allocs.saturating_sub(earlier.env_allocs),
-            synth_cache_hits: self
-                .synth_cache_hits
-                .saturating_sub(earlier.synth_cache_hits),
-            synth_cache_misses: self
-                .synth_cache_misses
-                .saturating_sub(earlier.synth_cache_misses),
+            ..KernelStats::default()
         }
     }
 }

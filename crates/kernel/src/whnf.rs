@@ -17,14 +17,9 @@
 //! Heads that remain are: `λ`, pairs, `*`, the monotype formers, `μ` at
 //! an opaque kind, and stuck paths of non-singleton natural kind.
 //!
-//! Two engines implement this relation (see [`crate::EquivEngine`]):
-//! the NbE-style environment machine in [`crate::nbe`] (the default,
-//! S17) and the substitution loop in this module ([`Tc::whnf_uncached`]
-//! internally), kept alive behind `RECMOD_EQUIV=subst` as the reference
-//! for differential testing. Both are held to identical outputs and
-//! errors; they differ only in fuel/counter accounting (`whnf_steps`
-//! counts the substitution loop, `eval_steps`/`quote_nodes`/`env_allocs`
-//! the machine).
+//! The relation is implemented as a substitute-and-reduce loop, a direct
+//! reading of the rules: β substitutes the argument into the body, and
+//! every head-reduction step it takes is counted in `whnf_steps`.
 
 use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::hc;
@@ -256,10 +251,7 @@ impl Tc {
         }
         crate::stats::TcStats::bump(&self.stat_cells().whnf_cache_misses);
         recmod_telemetry::count("kernel.whnf_cache_miss", 1);
-        let out = match self.engine() {
-            crate::EquivEngine::Nbe => crate::nbe::machine_whnf(self, ctx, c)?,
-            crate::EquivEngine::Subst => self.whnf_uncached(ctx, c)?,
-        };
+        let out = self.whnf_uncached(ctx, c)?;
         self.whnf_remember(key, out.clone());
         Ok(out)
     }
@@ -563,5 +555,124 @@ mod tests {
             tc.whnf(&mut ctx, &omega),
             Err(TypeError::FuelExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn beta_shifts_the_argument_under_a_surviving_binder() {
+        // (λα:T. λβ:T. α → β) int  ⇒  λβ:T. int → β.
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let c = capp(
+            clam(tkind(), clam(tkind(), carrow(cvar(1), cvar(0)))),
+            Con::Int,
+        );
+        assert_eq!(
+            tc.whnf(&mut ctx, &c).unwrap(),
+            clam(tkind(), carrow(Con::Int, cvar(0)))
+        );
+    }
+
+    #[test]
+    fn nested_redexes_reduce_in_order() {
+        // ((λα. λβ. β × α) int) bool  ⇒  bool × int.
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let c = capp(
+            capp(
+                clam(tkind(), clam(tkind(), cprod(cvar(0), cvar(1)))),
+                Con::Int,
+            ),
+            Con::Bool,
+        );
+        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), cprod(Con::Bool, Con::Int));
+    }
+
+    #[test]
+    fn beta_under_a_binder_keeps_free_variables() {
+        // Under Γ = α:T, (λβ:T. β → α) int  ⇒  int → α, with α back at
+        // index 0 once the redex's binder is gone.
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        ctx.with_con(tkind(), |ctx| {
+            let c = capp(clam(tkind(), carrow(cvar(0), cvar(1))), Con::Int);
+            assert_eq!(tc.whnf(ctx, &c).unwrap(), carrow(Con::Int, cvar(0)));
+        });
+    }
+
+    #[test]
+    fn inner_redex_sees_the_outer_argument() {
+        // (λα. (λβ. β) (α → α)) int  ⇒  int → int.
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let c = capp(
+            clam(
+                tkind(),
+                capp(clam(tkind(), cvar(0)), carrow(cvar(0), cvar(0))),
+            ),
+            Con::Int,
+        );
+        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), carrow(Con::Int, Con::Int));
+    }
+
+    #[test]
+    fn singleton_step_under_a_beta_redex() {
+        // c : Πα:T.Q(α ⇀ α); (λα. c α) int  ⇒  int ⇀ int.
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let k = pi(tkind(), q(carrow(cvar(0), cvar(0))));
+        ctx.with_con(k, |ctx| {
+            let c = capp(clam(tkind(), capp(cvar(1), cvar(0))), Con::Int);
+            assert_eq!(tc.whnf(ctx, &c).unwrap(), carrow(Con::Int, Con::Int));
+        });
+    }
+
+    #[test]
+    fn mu_under_a_beta_redex_unrolls() {
+        // ((λα:T. μf:T→T. λβ:T. α ⇀ f β) int) bool: the μ receives int
+        // for α before it is unrolled.
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let body = |a: Con| clam(tkind(), carrow(a, capp(cvar(1), cvar(0))));
+        let m = capp(
+            clam(tkind(), mu(pi(tkind(), tkind()), body(cvar(2)))),
+            Con::Int,
+        );
+        let unrolled = mu(pi(tkind(), tkind()), body(Con::Int));
+        assert_eq!(
+            tc.whnf(&mut ctx, &capp(m, Con::Bool)).unwrap(),
+            carrow(Con::Int, capp(unrolled, Con::Bool))
+        );
+    }
+
+    #[test]
+    fn stuck_projection_of_an_application_stays_stuck() {
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        ctx.with_con(pi(tkind(), sigma(tkind(), tkind())), |ctx| {
+            let c = cproj2(capp(cvar(0), Con::Int));
+            assert_eq!(tc.whnf(ctx, &c).unwrap(), c);
+        });
+    }
+
+    #[test]
+    fn applying_a_non_pi_variable_is_not_a_pi_kind() {
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        ctx.with_con(tkind(), |ctx| {
+            let err = tc.whnf(ctx, &capp(cvar(0), Con::Int)).unwrap_err();
+            assert!(matches!(err, TypeError::NotAPiKind(_)), "{err}");
+            assert_eq!(err.code(), "K002");
+        });
+    }
+
+    #[test]
+    fn reduction_counts_whnf_steps() {
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let c = capp(clam(tkind(), carrow(cvar(0), cvar(0))), Con::Int);
+        tc.whnf(&mut ctx, &c).unwrap();
+        let s = tc.stats();
+        assert!(s.whnf_steps > 0);
+        assert_eq!((s.eval_steps, s.quote_nodes, s.env_allocs), (0, 0, 0));
     }
 }

@@ -97,7 +97,11 @@ use std::time::Instant;
 /// (`--stats=json`, `bench_json`, trace/log/cost files). Bump on any
 /// breaking change to a schema; golden tests assert the current value.
 ///
-/// History: 3 = sharded global interner + on-disk artifact cache (the
+/// History: 4 = one equivalence engine (the NbE machine is gone:
+/// `--stats` dropped `equiv_engine` and the eval/quote/env-alloc and
+/// synth-cache counters, the kernel text lines went back to their
+/// pre-2 form with `whnf steps`, and the golden cost model's
+/// `kernel.whnf_steps` is live again); 3 = sharded global interner + on-disk artifact cache (the
 /// golden cost model dropped the now warmth-dependent
 /// `syntax.intern_*` counters, `--stats` gained interner contention,
 /// and cache entries embed this version in their key); 2 = S17 NbE
@@ -105,7 +109,7 @@ use std::time::Instant;
 /// eval/quote/synth-cache counters, the kernel caches text line was
 /// renamed, and the golden cost model's fuel accounting changed
 /// engines); 1 = original.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Span-node budget used by profiling configs: judgement-level spans
 /// are orders of magnitude more numerous than stage spans, so the

@@ -64,15 +64,7 @@ mod tests {
             "stage.kernel.calls",
             "internal.panics",
             "kernel.assumption.hwm",
-            // S17 NbE engine counters. `kernel.whnf_steps` (the
-            // substitution loop's step count) is deliberately retired
-            // under the default engine: it stays a valid name but reads
-            // 0 unless RECMOD_EQUIV=subst; these replace it.
-            "kernel.synth_cache_hit",
-            "kernel.synth_cache_miss",
-            "kernel.eval_steps",
-            "kernel.quote_nodes",
-            "kernel.env_allocs",
+            "kernel.whnf_steps",
             // S18 sharded interner + artifact cache counters.
             "intern.shard.contended",
             "cache.hit",

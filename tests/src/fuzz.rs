@@ -1,7 +1,7 @@
 //! The seeded fuzzing + differential harness.
 //!
 //! Every case is fully determined by one `u64` seed (SplitMix64), so a
-//! failure report is a reproduction recipe. A seed drives one of ten
+//! failure report is a reproduction recipe. A seed drives one of nine
 //! case classes:
 //!
 //! * **Expression differential** — a random well-typed expression
@@ -51,14 +51,6 @@
 //!   must get exactly one response, every verdict must match the
 //!   unfaulted batch driver's byte for byte, and the server must drain
 //!   with no leaked workers and a balanced flight recorder.
-//! * **NbE differential** — random well- and ill-kinded constructors
-//!   are run through weak-head normalization, kind synthesis, and
-//!   equivalence under both the NbE engine and the legacy substitution
-//!   engine (`RECMOD_EQUIV=subst`), and a whole program is compiled
-//!   under each engine on fresh threads; normal forms, verdicts, stable
-//!   error codes, and rendered diagnostics must all agree (resource
-//!   verdicts are inconclusive — the engines deliberately meter fuel
-//!   differently).
 //!
 //! The driver ([`run_case`]) reports `Err(description)` on any
 //! disagreement; panics are caught by the caller (`tests/fuzz.rs`)
@@ -1115,135 +1107,12 @@ fn case_chaos_serve(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Class 10: NbE differential (the two equivalence engines must agree)
-// ---------------------------------------------------------------------
-
-/// A kernel outcome as comparable plain data: the result's structural
-/// rendering on success, the rendered message plus stable code on a
-/// *semantic* failure, and `None` on a resource verdict — the engines
-/// deliberately meter fuel differently (per-transition vs
-/// per-substitution), so limit verdicts are inconclusive, like class
-/// 3's treatment.
-fn engine_outcome<T: std::fmt::Debug>(
-    r: Result<T, TypeError>,
-) -> Option<Result<String, (String, &'static str)>> {
-    match r {
-        Ok(v) => Some(Ok(format!("{v:?}"))),
-        Err(e) if e.is_limit() => None,
-        Err(e) => Some(Err((format!("{e}"), e.code()))),
-    }
-}
-
-/// Random well- and ill-kinded constructors through whnf, kind
-/// synthesis, and equivalence under both engines, plus a whole-program
-/// compile under each engine on fresh threads: everything observable —
-/// normal forms, verdicts, stable codes, rendered diagnostics — must be
-/// identical.
-fn case_nbe_differential(rng: &mut Rng) -> Result<(), String> {
-    use recmod::kernel::EquivEngine;
-    use recmod::syntax::intern::hc;
-
-    let seed = rng.next_u64();
-    let size = rng.range(1, 10);
-    let (a, b) = match rng.below(3) {
-        0 => recmod_bench::gen_shao_pair(size, seed),
-        1 => recmod_bench::gen_unrolled_pair(size, seed),
-        _ => recmod_bench::gen_nested_pair(size, seed),
-    };
-    // Half the time, break kinding with an ill-kinded elimination so
-    // the engines' error paths (stuck-spine rebuilds, NotAPiKind /
-    // NotASigmaKind reporting) are compared too, not just the happy
-    // path.
-    let (a, b) = if rng.chance(1, 2) {
-        match rng.below(3) {
-            0 => (Con::Proj1(hc(a)), b),
-            1 => (Con::App(hc(a), hc(Con::Star)), b),
-            _ => (a, Con::Proj2(hc(b))),
-        }
-    } else {
-        (a, b)
-    };
-
-    // Fuel-only limits: a wall-clock deadline would make verdicts
-    // schedule-dependent and break the differential.
-    let limits = Limits::default();
-    let run = |engine: EquivEngine| {
-        let tc = Tc::with_engine(engine, RecMode::Equi, limits);
-        let mut ctx = Ctx::new();
-        [
-            engine_outcome(tc.whnf(&mut ctx, &a)),
-            engine_outcome(tc.whnf(&mut ctx, &b)),
-            engine_outcome(tc.synth_con(&mut ctx, &a)),
-            engine_outcome(tc.synth_con(&mut ctx, &b)),
-            engine_outcome(tc.con_equiv(&mut ctx, &a, &b, &Kind::Type)),
-        ]
-    };
-    let nbe = run(EquivEngine::Nbe);
-    let subst = run(EquivEngine::Subst);
-    for (what, (x, y)) in ["whnf a", "whnf b", "synth a", "synth b", "equiv"]
-        .iter()
-        .zip(nbe.iter().zip(&subst))
-    {
-        if let (Some(x), Some(y)) = (x, y) {
-            if x != y {
-                return Err(format!(
-                    "engines disagree on {what} (seed {seed}, size {size}):\n \
-                     nbe:   {x:?}\n subst: {y:?}"
-                ));
-            }
-        }
-    }
-
-    // A whole program through the pipeline under each engine, on fresh
-    // big-stack threads so neither run warms the other's interner or
-    // caches. `set_thread_engine` scopes the override to the spawned
-    // thread; verdict, codes, and rendered diagnostics must agree
-    // unless either side hit a resource limit (`L…` codes).
-    let src = observed_source(rng);
-    let compile_under = |engine: EquivEngine| {
-        let worker_src = src.clone();
-        std::thread::Builder::new()
-            .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
-            .spawn(move || {
-                recmod::kernel::set_thread_engine(Some(engine));
-                let out =
-                    match recmod::surface::compile_with_limits(&worker_src, &Limits::default()) {
-                        Ok(_) => (true, Vec::new(), Vec::new()),
-                        Err(errors) => (
-                            false,
-                            errors.iter().map(|e| format!("{e}")).collect::<Vec<_>>(),
-                            errors.iter().map(|e| e.code()).collect::<Vec<_>>(),
-                        ),
-                    };
-                recmod::kernel::set_thread_engine(None);
-                out
-            })
-            .map_err(|e| format!("spawn failed: {e}"))?
-            .join()
-            .map_err(|_| format!("panic compiling {src:?} under {engine:?}"))
-    };
-    let nbe_c = compile_under(EquivEngine::Nbe)?;
-    let sub_c = compile_under(EquivEngine::Subst)?;
-    let hit_limit = |codes: &[&str]| codes.iter().any(|c| c.starts_with('L'));
-    if hit_limit(&nbe_c.2) || hit_limit(&sub_c.2) {
-        return Ok(()); // resource verdicts are engine-metering-dependent
-    }
-    if nbe_c != sub_c {
-        return Err(format!(
-            "pipeline verdicts disagree between engines on {src:?}:\n \
-             nbe:   {nbe_c:?}\n subst: {sub_c:?}"
-        ));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
 /// Human-readable class name for a seed (for failure reports).
 pub fn case_class(seed: u64) -> &'static str {
-    match seed % 10 {
+    match seed % 9 {
         0 => "expression-differential",
         1 => "module-differential",
         2 => "ill-formed-input",
@@ -1252,8 +1121,7 @@ pub fn case_class(seed: u64) -> &'static str {
         5 => "thread-isolation",
         6 => "profiled-differential",
         7 => "diagnostics-total",
-        8 => "chaos-serve",
-        _ => "nbe-differential",
+        _ => "chaos-serve",
     }
 }
 
@@ -1262,7 +1130,7 @@ pub fn case_class(seed: u64) -> &'static str {
 /// the caller to catch (they are always bugs).
 pub fn run_case(seed: u64) -> Result<(), String> {
     let mut rng = Rng::new(seed);
-    match seed % 10 {
+    match seed % 9 {
         0 => case_expression_differential(&mut rng),
         1 => case_module_differential(&mut rng),
         2 => case_ill_formed(&mut rng),
@@ -1271,8 +1139,7 @@ pub fn run_case(seed: u64) -> Result<(), String> {
         5 => case_thread_isolation(&mut rng),
         6 => case_profiled_differential(&mut rng),
         7 => case_diagnostics_total(&mut rng),
-        8 => case_chaos_serve(&mut rng),
-        _ => case_nbe_differential(&mut rng),
+        _ => case_chaos_serve(&mut rng),
     }
 }
 

@@ -203,9 +203,8 @@ fn warm_worker_does_not_leak_type_equivalences_between_files() {
     // `int`. File 2, on the same warm worker, redefines `A.t` as `bool`
     // and makes the same use — which must now be rejected. Any kernel
     // memo entry from file 1 that survived `Tc::renew` in a form file 2
-    // could hit (for instance, keyed without a fresh context stamp, or
-    // an NbE environment left in the arena) would wrongly equate the
-    // new `t` with `int` and accept it. File 3 repeats file 1 to show
+    // could hit (for instance, keyed without a fresh context stamp)
+    // would wrongly equate the new `t` with `int` and accept it. File 3 repeats file 1 to show
     // the warm path still accepts what it should.
     let with_int = "structure A = struct\n  type t = int\n  val x : t = 1\nend\n";
     let with_bool = "structure A = struct\n  type t = bool\n  val x : t = 1\nend\n";
