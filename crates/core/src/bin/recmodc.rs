@@ -81,9 +81,9 @@
 
 use std::process::ExitCode;
 
+use recmod::driver::{FileStatus, EXIT_INTERNAL, EXIT_USER};
 use recmod::stats::StatsReport;
 use recmod::surface::diag::{self as sdiag, Diagnostic};
-use recmod::surface::SurfaceError;
 use recmod::syntax::pretty::{con_to_string, term_to_string, Names};
 use recmod::telemetry::Limits;
 
@@ -93,10 +93,7 @@ const DEFAULT_TRACE_DEPTH: usize = 8;
 /// Default cap on printed diagnostics (override with `--max-errors`).
 const DEFAULT_MAX_ERRORS: usize = 20;
 
-const EXIT_USER: u8 = 1;
 const EXIT_USAGE: u8 = 2;
-const EXIT_LIMIT: u8 = 3;
-const EXIT_INTERNAL: u8 = 4;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -817,29 +814,14 @@ fn run_batch(paths: &[String], opts: &Options) -> ExitCode {
     // Outcomes come back in input order, so they pair with `jobs`.
     for (outcome, job) in result.outcomes.iter().zip(&jobs) {
         if let Some(crash) = &outcome.crash {
-            write_crash_bundle(
-                opts,
-                &outcome.name,
-                &job.source,
-                status_label(outcome.status),
-                outcome.status.exit_code(),
-                crash,
-            );
+            write_crash_bundle(opts, &outcome.name, &job.source, outcome.status, crash);
         }
     }
     if opts.diagnostics {
-        let files: Vec<(&str, &'static str, u8, &[Diagnostic])> = result
+        let files = result
             .outcomes
             .iter()
-            .map(|o| {
-                (
-                    o.name.as_str(),
-                    status_label(o.status),
-                    o.status.exit_code(),
-                    o.diags.as_slice(),
-                )
-            })
-            .collect();
+            .map(|o| (o.name.as_str(), o.status, o.diags.as_slice()));
         println!("{}", diagnostics_doc(files).to_pretty());
     }
 
@@ -871,25 +853,6 @@ fn run_batch(paths: &[String], opts: &Options) -> ExitCode {
     ExitCode::from(result.exit_code())
 }
 
-/// The instant-event label for a file, `None` for uneventful outcomes.
-fn instant_label(status: recmod::driver::FileStatus) -> Option<&'static str> {
-    match status {
-        recmod::driver::FileStatus::Limit => Some("limit"),
-        recmod::driver::FileStatus::Internal => Some("internal"),
-        _ => None,
-    }
-}
-
-/// The machine-readable outcome label for a file.
-fn status_label(status: recmod::driver::FileStatus) -> &'static str {
-    match status {
-        recmod::driver::FileStatus::Ok => "ok",
-        recmod::driver::FileStatus::Error => "error",
-        recmod::driver::FileStatus::Limit => "limit",
-        recmod::driver::FileStatus::Internal => "internal",
-    }
-}
-
 /// Writes the batch as a Chrome Trace Event / Perfetto JSON file: one
 /// lane per worker (spans + counter tracks) plus one complete event per
 /// input file, with instant events marking limit hits and panics.
@@ -914,7 +877,7 @@ fn write_batch_trace(path: &str, result: &recmod::driver::BatchResult) {
             tid: o.worker as u64,
             start_nanos: o.start_nanos,
             dur_nanos: o.nanos,
-            instant: instant_label(o.status).map(String::from),
+            instant: o.status.is_crash().then(|| o.status.label().to_string()),
         })
         .collect();
     let doc = export("recmodc", &lanes, &files);
@@ -1004,7 +967,7 @@ fn render_batch_profile(result: &recmod::driver::BatchResult, by: ProfileBy) -> 
                     "{:>12.3}  w{}  {:<8}  {}\n",
                     o.nanos as f64 / 1e6,
                     o.worker,
-                    status_label(o.status),
+                    o.status.label(),
                     o.name
                 ));
             }
@@ -1037,7 +1000,7 @@ fn write_log_json(path: &str, result: &recmod::driver::BatchResult) {
         let mut fields = vec![
             ("kind", Json::str("file")),
             ("path", Json::str(o.name.as_str())),
-            ("status", Json::str(status_label(o.status))),
+            ("status", Json::str(o.status.label())),
             ("exit", Json::UInt(o.status.exit_code() as u64)),
             ("worker", Json::UInt(o.worker as u64)),
             ("stolen", Json::Bool(o.stolen)),
@@ -1188,11 +1151,9 @@ fn batch_stats_json(result: &recmod::driver::BatchResult) -> recmod::telemetry::
     Json::obj(obj)
 }
 
-/// Stack size for the pipeline thread. Parsing, elaboration, and
-/// evaluation are all recursive; running them on a dedicated big stack
-/// guarantees the [`Limits`] depth guards fire long before the host
-/// stack is at risk, even in debug builds with fat frames.
-const PIPELINE_STACK_MB: usize = 512;
+/// Stack size of the pipeline thread, in MB: the driver's compile
+/// thread stack.
+const PIPELINE_STACK_MB: usize = recmod::driver::DEFAULT_STACK_SIZE >> 20;
 
 fn run_source(file: &str, src: &str, opts: &Options, mode: Mode) -> ExitCode {
     let file = file.to_string();
@@ -1220,26 +1181,26 @@ fn run_pipeline(file: &str, src: &str, opts: &Options, mode: Mode) -> u8 {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_source_inner(file, src, opts, mode)
     }));
-    let (code, observed, diags) = match caught {
+    let (status, observed, diags) = match caught {
         Ok(x) => x,
         Err(payload) => {
             recmod::telemetry::count("internal.panics", 1);
-            let msg = panic_message(&payload);
+            let msg = recmod::driver::panic_message(&*payload);
             eprintln!("{file}: internal error: panic: {msg}");
             eprintln!("{file}: this is a bug in recmodc, not in your program");
             let diag = Diagnostic::internal("I002", format!("panic: {msg}"));
-            (EXIT_INTERNAL, None, vec![diag])
+            (FileStatus::Internal, None, vec![diag])
         }
     };
     // Crash forensics must be captured on this thread (the flight
     // recorder is thread-local) and before the telemetry sink is
     // uninstalled (the counter snapshot needs it live).
-    if code == EXIT_LIMIT || code == EXIT_INTERNAL {
+    if status.is_crash() {
         let crash = recmod::telemetry::diag::crash_data();
-        write_crash_bundle(opts, file, src, exit_status_label(code), code, &crash);
+        write_crash_bundle(opts, file, src, status, &crash);
     }
     if opts.diagnostics {
-        let doc = diagnostics_doc([(file, exit_status_label(code), code, diags.as_slice())]);
+        let doc = diagnostics_doc([(file, status, diags.as_slice())]);
         println!("{}", doc.to_pretty());
     }
     let report = if observing {
@@ -1266,33 +1227,23 @@ fn run_pipeline(file: &str, src: &str, opts: &Options, mode: Mode) -> u8 {
             }
         }
     }
-    code
-}
-
-/// The outcome label for a single-file exit code.
-fn exit_status_label(code: u8) -> &'static str {
-    match code {
-        0 => "ok",
-        EXIT_LIMIT => "limit",
-        EXIT_INTERNAL => "internal",
-        _ => "error",
-    }
+    status.exit_code()
 }
 
 /// The `--diagnostics=json` document: one schema-versioned object with
 /// a `files` array of `{path, status, exit, diagnostics}` records. The
 /// diagnostics arrays are never truncated by `--max-errors`.
 fn diagnostics_doc<'a>(
-    files: impl IntoIterator<Item = (&'a str, &'static str, u8, &'a [Diagnostic])>,
+    files: impl IntoIterator<Item = (&'a str, FileStatus, &'a [Diagnostic])>,
 ) -> recmod::telemetry::json::Json {
     use recmod::telemetry::json::Json;
     let entries: Vec<Json> = files
         .into_iter()
-        .map(|(path, status, exit, diags)| {
+        .map(|(path, status, diags)| {
             Json::obj([
                 ("path", Json::str(path)),
-                ("status", Json::str(status)),
-                ("exit", Json::UInt(exit as u64)),
+                ("status", Json::str(status.label())),
+                ("exit", Json::UInt(u64::from(status.exit_code()))),
                 (
                     "diagnostics",
                     Json::Arr(diags.iter().map(Diagnostic::to_json).collect()),
@@ -1320,8 +1271,7 @@ fn write_crash_bundle(
     opts: &Options,
     file: &str,
     src: &str,
-    status: &'static str,
-    exit: u8,
+    status: FileStatus,
     crash: &recmod::telemetry::diag::CrashData,
 ) {
     let dir = opts
@@ -1333,51 +1283,14 @@ fn write_crash_bundle(
         &dir,
         file,
         src,
-        status,
-        exit,
+        status.label(),
+        status.exit_code(),
         &opts.limits,
         crash,
     ) {
         Ok(path) => eprintln!("crash bundle: wrote {}", path.display()),
         Err(msg) => eprintln!("recmodc: {msg}"),
     }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "(non-string panic payload)".to_string()
-    }
-}
-
-/// Prints up to `max_errors` diagnostics through the shared renderer
-/// (`file:line:col: error: … [CODE]`), classifies them into an exit
-/// code (internal errors dominate, then resource limits, then ordinary
-/// program errors), and hands back the full untruncated structured set.
-fn report_errors(
-    file: &str,
-    src: &str,
-    errors: &[SurfaceError],
-    max_errors: usize,
-) -> (u8, Vec<Diagnostic>) {
-    let diags = sdiag::from_errors(src, errors);
-    for d in diags.iter().take(max_errors) {
-        eprintln!("{}", sdiag::render_line(file, d));
-    }
-    if diags.len() > max_errors {
-        eprintln!("{}", sdiag::render_elided(file, diags.len() - max_errors));
-    }
-    let code = if errors.iter().any(|e| e.is_internal()) {
-        EXIT_INTERNAL
-    } else if errors.iter().any(|e| e.is_limit()) {
-        EXIT_LIMIT
-    } else {
-        EXIT_USER
-    };
-    (code, diags)
 }
 
 type Observed = Option<(recmod::Compiled, Option<recmod::eval::EvalStats>)>;
@@ -1387,7 +1300,7 @@ fn run_source_inner(
     src: &str,
     opts: &Options,
     mode: Mode,
-) -> (u8, Observed, Vec<Diagnostic>) {
+) -> (FileStatus, Observed, Vec<Diagnostic>) {
     // With `--stats=json` or `--diagnostics=json`, stdout must carry
     // exactly one JSON document; the usual human-readable output moves
     // to stderr.
@@ -1403,8 +1316,13 @@ fn run_source_inner(
     let compiled = match recmod::surface::compile_with_limits(src, &opts.limits) {
         Ok(c) => c,
         Err(errors) => {
-            let (code, diags) = report_errors(file, src, &errors, opts.max_errors);
-            return (code, None, diags);
+            // Printed through the driver's renderer (capped, with an
+            // elision line); the returned set stays untruncated.
+            let diags = sdiag::from_errors(src, &errors);
+            for line in recmod::driver::render_diagnostics(file, &diags, opts.max_errors) {
+                eprintln!("{line}");
+            }
+            return (recmod::driver::classify(&errors), None, diags);
         }
     };
     match mode {
@@ -1413,7 +1331,7 @@ fn run_source_inner(
                 out!("{name} : {describe}");
             }
             out!("ok");
-            (0, Some((compiled, None)), Vec::new())
+            (FileStatus::Ok, Some((compiled, None)), Vec::new())
         }
         Mode::Split => {
             for b in &compiled.elab.bindings {
@@ -1429,7 +1347,7 @@ fn run_source_inner(
                     term_to_string(&b.dynamic, &mut Names::new())
                 );
             }
-            (0, Some((compiled, None)), Vec::new())
+            (FileStatus::Ok, Some((compiled, None)), Vec::new())
         }
         Mode::Run => {
             if compiled.main.is_none() {
@@ -1437,7 +1355,7 @@ fn run_source_inner(
                     out!("{name} : {describe}");
                 }
                 eprintln!("(no main expression; add one after the declarations)");
-                return (0, Some((compiled, None)), Vec::new());
+                return (FileStatus::Ok, Some((compiled, None)), Vec::new());
             }
             // Already on the big-stack pipeline thread; evaluate inline.
             let term = compiled.program();
@@ -1450,7 +1368,7 @@ fn run_source_inner(
                     if opts.steps {
                         eprintln!("steps: {}", stats.steps);
                     }
-                    (0, Some((compiled, Some(stats))), Vec::new())
+                    (FileStatus::Ok, Some((compiled, Some(stats))), Vec::new())
                 }
                 Err(e) => {
                     eprintln!("{file}: runtime error: {e}");
@@ -1458,21 +1376,23 @@ fn run_source_inner(
                     // ones map onto the L taxonomy, stuck states are
                     // compiler bugs; an ordinary `raise Fail` is the
                     // program's own business and stays code-less.
-                    let (code, diag_code) = match &e {
-                        recmod::eval::EvalError::DepthExceeded => (EXIT_LIMIT, Some("L001")),
-                        recmod::eval::EvalError::Limit(l) => (EXIT_LIMIT, Some(l.kind.code())),
-                        e if e.is_limit() => (EXIT_LIMIT, Some("L003")),
+                    let (status, diag_code) = match &e {
+                        recmod::eval::EvalError::DepthExceeded => (FileStatus::Limit, Some("L001")),
+                        recmod::eval::EvalError::Limit(l) => {
+                            (FileStatus::Limit, Some(l.kind.code()))
+                        }
+                        e if e.is_limit() => (FileStatus::Limit, Some("L003")),
                         // The kernel accepted this program, so a stuck
                         // or ill-formed runtime state is our bug.
                         recmod::eval::EvalError::Stuck(_)
                         | recmod::eval::EvalError::BlackHole
-                        | recmod::eval::EvalError::OpenTerm => (EXIT_INTERNAL, Some("I001")),
-                        _ => (EXIT_USER, None),
+                        | recmod::eval::EvalError::OpenTerm => (FileStatus::Internal, Some("I001")),
+                        _ => (FileStatus::Error, None),
                     };
                     let diags = diag_code
                         .map(|c| vec![Diagnostic::internal(c, format!("runtime error: {e}"))])
                         .unwrap_or_default();
-                    (code, None, diags)
+                    (status, None, diags)
                 }
             }
         }

@@ -28,10 +28,14 @@
 //!   scheduling; per-worker telemetry reports are merged with
 //!   [`Report::merge`].
 //!
-//! Batches can additionally consult a content-addressed on-disk
-//! artifact cache ([`cache`]) before compiling: verdicts for
-//! previously-seen (source, limits, schema) tuples are replayed
-//! without touching the pipeline.
+//! Every file goes through `compile`, the one compile path shared
+//! with the compile service ([`serve`]): it re-renders a cached verdict
+//! or runs the pipeline on the warm elaborator behind a `catch_unwind`,
+//! classifies and renders the result, captures crash data for limit
+//! and internal outcomes, and stores cacheable verdicts in the
+//! content-addressed artifact cache ([`cache`]). The batch driver adds
+//! only scheduling and per-file accounting around it; the service adds
+//! admission, supervision and retry.
 //!
 //! A panic inside one file's compilation is caught at the file
 //! boundary: the file reports [`FileStatus::Internal`], the worker
@@ -41,6 +45,7 @@
 pub mod cache;
 pub mod serve;
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -52,7 +57,7 @@ use recmod_surface::elab::Elaborator;
 use recmod_surface::error::SurfaceError;
 use recmod_surface::pipeline::compile_with_limits_in;
 use recmod_telemetry::diag::CrashData;
-use recmod_telemetry::{Config, Limits, Report};
+use recmod_telemetry::{fault, Config, Limits, Report};
 
 /// Process exit code for a clean batch.
 pub const EXIT_OK: u8 = 0;
@@ -63,8 +68,10 @@ pub const EXIT_LIMIT: u8 = 3;
 /// Exit code when at least one file hit an internal error or panic.
 pub const EXIT_INTERNAL: u8 = 4;
 
-/// Default per-worker stack: elaboration is deeply recursive, so match
-/// the single-file CLI's 512 MB compile thread.
+/// Stack size of every compile thread (batch workers, service workers
+/// and the single-file CLI's pipeline thread): parsing, elaboration and
+/// evaluation are recursive, so a big stack lets the [`Limits`] depth
+/// guards fire long before the host stack is at risk.
 pub const DEFAULT_STACK_SIZE: usize = 512 * 1024 * 1024;
 
 /// One unit of work: a display name (usually a path) plus source text.
@@ -120,6 +127,22 @@ impl FileStatus {
             FileStatus::Limit => EXIT_LIMIT,
             FileStatus::Internal => EXIT_INTERNAL,
         }
+    }
+
+    /// Stable status label: `ok`, `error`, `limit` or `internal`.
+    pub fn label(self) -> &'static str {
+        match self {
+            FileStatus::Ok => "ok",
+            FileStatus::Error => "error",
+            FileStatus::Limit => "limit",
+            FileStatus::Internal => "internal",
+        }
+    }
+
+    /// Limit and internal outcomes: the classes a crash bundle is
+    /// written for.
+    pub fn is_crash(self) -> bool {
+        matches!(self, FileStatus::Limit | FileStatus::Internal)
     }
 }
 
@@ -536,107 +559,19 @@ fn compile_one(
     } else {
         None
     };
-    // Deadlines are absolute instants, so they must be re-armed here,
-    // per file, not when the batch was configured.
-    let limits = match job.deadline_ms.or(config.deadline_ms) {
-        Some(ms) => config.limits.with_deadline_ms(ms),
-        None => config.limits,
-    };
-    // Content-address of this compile, computed once: consulted before
-    // the pipeline, reused to store the verdict after it. Rendered
-    // lines are rebuilt from the structured diagnostics on a hit, so
-    // hits are byte-identical to compiles even under a different
-    // display name or --max-errors.
-    let ckey = artifact_cache.map(|c| (c, cache::key(&job.source, &limits, "")));
-    if let Some((c, k)) = ckey {
-        if let cache::Outcome::Hit(entry) = c.load(k) {
-            let entry = *entry;
-            let diagnostics = render_diagnostics(&job.name, &entry.diags, config.max_errors);
-            return FileOutcome {
-                name: job.name.clone(),
-                status: entry.status,
-                summaries: entry.summaries,
-                diagnostics,
-                diags: entry.diags,
-                crash: None,
-                worker: wid,
-                stolen,
-                start_nanos,
-                nanos: t0.elapsed().as_nanos() as u64,
-                counters: counter_delta(before),
-            };
-        }
+    let limits = arm_deadline(config.limits, job.deadline_ms.or(config.deadline_ms));
+    let verdict = compile(
+        artifact_cache,
+        &job.name,
+        &job.source,
+        limits,
+        config.max_errors,
+        slot,
+    );
+    if !config.warm {
+        *slot = None;
     }
-    let elab = match slot.take() {
-        Some(mut e) if config.warm => {
-            e.renew(limits);
-            e
-        }
-        _ => Elaborator::with_limits(limits),
-    };
-
-    #[allow(clippy::result_large_err)] // one call per file; never propagated
-    let compile = || compile_with_limits_in(elab, &job.source);
-    let result = catch_unwind(AssertUnwindSafe(compile));
-
-    let (status, summaries, diagnostics, diags, returned) = match result {
-        Ok(Ok(compiled)) => {
-            let summaries = compiled.summaries();
-            (
-                FileStatus::Ok,
-                summaries,
-                Vec::new(),
-                Vec::new(),
-                Some(compiled.elab),
-            )
-        }
-        Ok(Err((errors, elab))) => {
-            let status = classify(&errors);
-            let diags = sdiag::from_errors(&job.source, &errors);
-            let diagnostics = render_diagnostics(&job.name, &diags, config.max_errors);
-            (status, Vec::new(), diagnostics, diags, Some(elab))
-        }
-        Err(panic) => {
-            // The elaborator was consumed by the panicking call and its
-            // caches may be mid-mutation; rebuild from scratch.
-            recmod_telemetry::count("internal.panics", 1);
-            let msg = format!("panic during compilation: {}", panic_message(&panic));
-            let diag = format!("{}: internal error: {msg}", job.name);
-            (
-                FileStatus::Internal,
-                Vec::new(),
-                vec![diag],
-                vec![Diagnostic::internal("I002", msg)],
-                None,
-            )
-        }
-    };
-    // Capture the flight-recorder tail on this worker thread for the
-    // exit classes a crash bundle is written for.
-    let crash = match status {
-        FileStatus::Limit | FileStatus::Internal => Some(recmod_telemetry::diag::crash_data()),
-        FileStatus::Ok | FileStatus::Error => None,
-    };
-    *slot = match returned {
-        Some(e) if config.warm => Some(e),
-        _ => None,
-    };
-
     let counters = counter_delta(before);
-    if let (Some((c, k)), FileStatus::Ok | FileStatus::Error) = (ckey, status) {
-        c.store(
-            k,
-            &cache::Entry {
-                status,
-                summaries: summaries.clone(),
-                diags: diags.clone(),
-                counters: counters
-                    .as_ref()
-                    .map(|m| m.iter().map(|(&n, &v)| (n.to_string(), v)).collect())
-                    .unwrap_or_default(),
-            },
-        );
-    }
     if recmod_telemetry::profiling_enabled() {
         // One counter-track sample per file boundary: cumulative cache
         // hit/miss counters plus gauges the sink cannot see (interner
@@ -657,16 +592,183 @@ fn compile_one(
 
     FileOutcome {
         name: job.name.clone(),
-        status,
-        summaries,
-        diagnostics,
-        diags,
-        crash,
+        status: verdict.status,
+        summaries: verdict.summaries,
+        diagnostics: verdict.rendered,
+        diags: verdict.diags,
+        crash: verdict.crash,
         worker: wid,
         stolen,
         start_nanos,
         nanos: t0.elapsed().as_nanos() as u64,
         counters,
+    }
+}
+
+/// `limits` with `deadline_ms`, if any, armed as an absolute instant
+/// from now. Deadlines are re-armed when a job starts, never when the
+/// batch or service was configured.
+fn arm_deadline(limits: Limits, deadline_ms: Option<u64>) -> Limits {
+    deadline_ms.map_or(limits, |ms| limits.with_deadline_ms(ms))
+}
+
+/// How the artifact cache took part in one [`compile`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lookup {
+    /// The lookup replayed a verified entry.
+    pub hit: bool,
+    /// When the lookup started.
+    pub at: Instant,
+    /// How long it took, in nanoseconds.
+    pub nanos: u64,
+}
+
+/// The verdict of one [`compile`], fresh or replayed from the cache.
+pub(crate) struct Verdict {
+    /// How compilation ended.
+    pub status: FileStatus,
+    /// `(name, description)` pairs for the top-level bindings (empty
+    /// unless [`FileStatus::Ok`]).
+    pub summaries: Vec<(String, String)>,
+    /// Structured diagnostics, never truncated.
+    pub diags: Vec<Diagnostic>,
+    /// Rendered diagnostic lines, capped by `max_errors`.
+    pub rendered: Vec<String>,
+    /// Flight-recorder tail and counter snapshot, captured on the
+    /// compiling thread for limit and internal outcomes.
+    pub crash: Option<CrashData>,
+    /// The payload of a panic caught at the compile boundary.
+    pub panic: Option<Box<dyn Any + Send>>,
+    /// The cache lookup, when one was made.
+    pub lookup: Option<Lookup>,
+}
+
+/// Compiles `source` under `limits` on the warm elaborator in `warm`
+/// (a fresh one when empty), through the artifact cache when one is
+/// given. This is the one compile path: the batch driver and the
+/// compile service both call it; they differ only in scheduling,
+/// supervision and reporting around it.
+///
+/// The verdict is a pure function of `source` and `limits`, which is
+/// why one cache key serves every caller. A hit re-renders the stored
+/// diagnostics under `name` and `max_errors`, so it is byte-identical
+/// to a compile. Two reads of the fault layer keep injected faults
+/// away from the cache: while a fault is armed the lookup is skipped,
+/// so the fault reaches the compile it was aimed at, and a verdict a
+/// fired fault touched is never stored. Only ok and error verdicts are
+/// stored; limit and internal outcomes depend on clocks and bugs.
+pub(crate) fn compile(
+    artifact_cache: Option<&cache::Cache>,
+    name: &str,
+    source: &str,
+    limits: Limits,
+    max_errors: usize,
+    warm: &mut Option<Elaborator>,
+) -> Verdict {
+    let keyed = artifact_cache.map(|c| (c, cache::key(source, &limits, "")));
+    let mut lookup = None;
+    if let Some((c, k)) = keyed.filter(|_| !fault::armed()) {
+        let at = Instant::now();
+        let outcome = c.load(k);
+        let hit = matches!(outcome, cache::Outcome::Hit(_));
+        lookup = Some(Lookup {
+            hit,
+            at,
+            nanos: at.elapsed().as_nanos() as u64,
+        });
+        if let cache::Outcome::Hit(entry) = outcome {
+            let entry = *entry;
+            return Verdict {
+                status: entry.status,
+                summaries: entry.summaries,
+                rendered: render_diagnostics(name, &entry.diags, max_errors),
+                diags: entry.diags,
+                crash: None,
+                panic: None,
+                lookup,
+            };
+        }
+    }
+    let before = keyed.and_then(|_| recmod_telemetry::snapshot_counters());
+    let verdict = Verdict {
+        lookup,
+        ..compile_warm(name, source, limits, max_errors, warm)
+    };
+    if let (Some((c, k)), FileStatus::Ok | FileStatus::Error, None) =
+        (keyed, verdict.status, fault::fired())
+    {
+        c.store(
+            k,
+            &cache::Entry {
+                status: verdict.status,
+                summaries: verdict.summaries.clone(),
+                diags: verdict.diags.clone(),
+                counters: counter_delta(before)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|(n, v)| (n.to_string(), v))
+                    .collect(),
+            },
+        );
+    }
+    verdict
+}
+
+/// [`compile`] without the cache: runs the pipeline behind a
+/// `catch_unwind`, classifies and renders the result, and puts the
+/// elaborator back in `warm`. A panicking compile consumed the
+/// elaborator, whose caches may be mid-mutation, so `warm` is left
+/// empty and the next compile starts fresh.
+fn compile_warm(
+    name: &str,
+    source: &str,
+    limits: Limits,
+    max_errors: usize,
+    warm: &mut Option<Elaborator>,
+) -> Verdict {
+    let elab = match warm.take() {
+        Some(mut e) => {
+            e.renew(limits);
+            e
+        }
+        None => Elaborator::with_limits(limits),
+    };
+    #[allow(clippy::result_large_err)] // one call per compile; never propagated
+    let run = || compile_with_limits_in(elab, source);
+    let (status, summaries, diags, rendered, panic) = match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(compiled)) => {
+            let summaries = compiled.summaries();
+            *warm = Some(compiled.elab);
+            (FileStatus::Ok, summaries, Vec::new(), Vec::new(), None)
+        }
+        Ok(Err((errors, elab))) => {
+            *warm = Some(elab);
+            let diags = sdiag::from_errors(source, &errors);
+            let rendered = render_diagnostics(name, &diags, max_errors);
+            (classify(&errors), Vec::new(), diags, rendered, None)
+        }
+        Err(panic) => {
+            recmod_telemetry::count("internal.panics", 1);
+            let msg = format!("panic during compilation: {}", panic_message(&*panic));
+            (
+                FileStatus::Internal,
+                Vec::new(),
+                vec![Diagnostic::internal("I002", msg.clone())],
+                vec![format!("{name}: internal error: {msg}")],
+                Some(panic),
+            )
+        }
+    };
+    Verdict {
+        status,
+        summaries,
+        diags,
+        rendered,
+        // Captured here, on the compiling thread, while any telemetry
+        // sink is still installed.
+        crash: status.is_crash().then(recmod_telemetry::diag::crash_data),
+        panic,
+        lookup: None,
     }
 }
 
@@ -690,7 +792,9 @@ fn counter_delta(
     })
 }
 
-fn classify(errors: &[SurfaceError]) -> FileStatus {
+/// The status a set of pipeline errors earns: an internal error
+/// dominates, then a resource limit, then ordinary diagnostics.
+pub fn classify(errors: &[SurfaceError]) -> FileStatus {
     if errors.iter().any(|e| e.is_internal()) {
         FileStatus::Internal
     } else if errors.iter().any(|e| e.is_limit()) {
@@ -705,7 +809,7 @@ fn classify(errors: &[SurfaceError]) -> FileStatus {
 /// [`recmod_surface::diag`] renderer), capped at `max_errors` with an
 /// elision line, so batch output diffs cleanly against sequential
 /// output. The structured `diags` themselves are never truncated.
-fn render_diagnostics(name: &str, diags: &[Diagnostic], max_errors: usize) -> Vec<String> {
+pub fn render_diagnostics(name: &str, diags: &[Diagnostic], max_errors: usize) -> Vec<String> {
     let mut lines = Vec::with_capacity(diags.len().min(max_errors) + 1);
     for d in diags.iter().take(max_errors) {
         lines.push(sdiag::render_line(name, d));
@@ -716,7 +820,9 @@ fn render_diagnostics(name: &str, diags: &[Diagnostic], max_errors: usize) -> Ve
     lines
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic payload: the `&str` or `String` message,
+/// or a fixed note for any other payload type.
+pub fn panic_message(panic: &(dyn Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -845,6 +951,26 @@ mod tests {
             .filter_map(|r| r.counters.get("driver.files"))
             .sum();
         assert_eq!(per_worker, 9);
+    }
+
+    #[test]
+    fn caught_panic_message_reaches_the_diagnostic() {
+        use recmod_telemetry::fault::{FaultKind, Injection, PANIC_MARKER};
+        fault::arm(Injection {
+            kind: FaultKind::Panic,
+            after: 1,
+        });
+        let mut warm = None;
+        let v = compile(None, "p.rm", OK_SRC, Limits::default(), 20, &mut warm);
+        assert_eq!(fault::disarm(), Some(FaultKind::Panic));
+        assert_eq!(v.status, FileStatus::Internal);
+        assert!(v.panic.is_some() && v.crash.is_some() && warm.is_none());
+        assert_eq!(
+            v.rendered,
+            vec![format!(
+                "p.rm: internal error: panic during compilation: {PANIC_MARKER}"
+            )]
+        );
     }
 
     #[test]

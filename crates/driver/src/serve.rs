@@ -5,7 +5,11 @@
 //! optional per-request [`Limits`] and deadline, and every request gets
 //! **exactly one** line-delimited JSON response reusing the S15
 //! diagnostics document, the exit-class taxonomy, and
-//! [`SCHEMA_VERSION`]. The service is built from three pieces:
+//! [`SCHEMA_VERSION`]. Each attempt compiles through the batch
+//! driver's own compile path (`crate::compile`: cache lookup, warm
+//! elaborator, `catch_unwind`, classification, rendering, crash data,
+//! cache store), so a verdict cannot depend on which door a program
+//! came through. The service adds three pieces around that call:
 //!
 //! * **Admission control** — a bounded queue ([`ServeConfig::queue_depth`]).
 //!   A full queue sheds the request with an explicit
@@ -14,14 +18,16 @@
 //!   rejects new work with [`ResponseStatus::Draining`]
 //!   ([`EXIT_DRAINING`]).
 //! * **Supervision** — requests compile on dedicated 512 MB worker
-//!   threads behind a per-request `catch_unwind`. A supervisor thread
-//!   reaps workers that die anyway (e.g. an injected
-//!   [`FaultKind::Kill`]), writes a crash bundle attributed to the
-//!   request id, retries or answers the orphaned request, and respawns
-//!   the worker. A watchdog flags requests that blow their deadline
-//!   past a grace period — cancellation itself is structural: the
-//!   kernel's own amortized [`Limits`] deadline checks unwind the
-//!   derivation with a normal `L004` limit error.
+//!   threads, parked in a per-worker slot for the compile's duration;
+//!   the compile path catches panics and hands back an injected
+//!   [`FaultKind::Kill`]'s payload, which the worker re-raises. A
+//!   supervisor thread reaps workers that die that way (or any other
+//!   way), writes a crash bundle attributed to the request id, retries
+//!   or answers the orphaned request, and respawns the worker. A
+//!   watchdog flags requests that blow their deadline past a grace
+//!   period — cancellation itself is structural: the kernel's own
+//!   amortized [`Limits`] deadline checks unwind the derivation with a
+//!   normal `L004` limit error.
 //! * **Retry with backoff** — attempts that failed *transiently* (an
 //!   injected fault, a caught panic, a dead worker) are requeued with
 //!   exponential backoff up to [`ServeConfig::max_attempts`]; user
@@ -51,7 +57,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -59,9 +65,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use recmod_surface::diag::{self as sdiag, Diagnostic};
+use recmod_surface::diag::Diagnostic;
 use recmod_surface::elab::Elaborator;
-use recmod_surface::pipeline::compile_with_limits_in;
 use recmod_syntax::intern::{self, InternStats};
 use recmod_telemetry::chrome_trace::{self, FileEvent, Lane, Mark};
 use recmod_telemetry::diag as tdiag;
@@ -1185,9 +1190,9 @@ fn spawn_worker(core: &Arc<Core>, wid: usize) -> Option<JoinHandle<()>> {
 }
 
 fn worker_loop(core: &Arc<Core>, wid: usize) {
-    let mut elab: Option<Elaborator> = None;
+    let mut warm: Option<Elaborator> = None;
     while let Some(pending) = core.next_work() {
-        serve_one(core, wid, pending, &mut elab);
+        serve_one(core, wid, pending, &mut warm);
         // Between requests, sweep the interner: the request's syntax
         // just dropped its strong pointers, so the weak tables are
         // mostly tombstones. Sweeping here (instead of waiting for the
@@ -1204,12 +1209,7 @@ fn worker_loop(core: &Arc<Core>, wid: usize) {
     }
 }
 
-fn serve_one(
-    core: &Arc<Core>,
-    wid: usize,
-    mut pending: Pending,
-    slot_elab: &mut Option<Elaborator>,
-) {
+fn serve_one(core: &Arc<Core>, wid: usize, mut pending: Pending, warm: &mut Option<Elaborator>) {
     // Per-request flight recorder, like the batch driver's per-file one.
     tdiag::reset_recorder();
     pending.attempts += 1;
@@ -1218,16 +1218,13 @@ fn serve_one(
     // would be snapshotted into diagnostic provenance and break the
     // batch/serve verdict byte-equality the chaos fuzzer checks.
     drop(tdiag::enter("serve.dispatch"));
-    let first_attempt = pending.attempts == 1;
     let attempts = pending.attempts;
-    let max_attempts = core.cfg.max_attempts;
-    let injection = pending.injection;
     let name = pending.req.name.clone();
     let source = pending.req.source.clone();
-    let mut limits = pending.req.limits.unwrap_or(core.cfg.limits);
-    if let Some(ms) = pending.req.deadline_ms.or(core.cfg.default_deadline_ms) {
-        limits = limits.with_deadline_ms(ms);
-    }
+    let limits = crate::arm_deadline(
+        pending.req.limits.unwrap_or(core.cfg.limits),
+        pending.req.deadline_ms.or(core.cfg.default_deadline_ms),
+    );
     let dispatched = Instant::now();
     let queue_wait = dispatched.saturating_duration_since(pending.last_enqueued);
     core.metrics.queue_wait.record(queue_wait.as_nanos() as u64);
@@ -1249,72 +1246,14 @@ fn serve_one(
             ..Config::profiled()
         });
     }
-    // Consult the artifact cache before paying for the pipeline — but
-    // never when a fault is armed for this request: injected faults
-    // must reach the compile they were aimed at.
-    if injection.is_none() {
-        if let Some(c) = core.artifact_cache.as_ref() {
-            let k = crate::cache::key(&source, &limits, "");
-            let looked_up = Instant::now();
-            let outcome = {
-                // A recorder frame held across the lookup only: the
-                // cache layer constructs no diagnostics, so no
-                // provenance snapshot can observe this frame.
-                let _frame = tdiag::enter("serve.cache");
-                c.load(k)
-            };
-            let hit = matches!(outcome, crate::cache::Outcome::Hit(_));
-            pending.trace(
-                "serve.cache",
-                || Some(if hit { "hit" } else { "miss" }.to_string()),
-                nanos_since(core.epoch, looked_up),
-                looked_up.elapsed().as_nanos() as u64,
-            );
-            if let crate::cache::Outcome::Hit(entry) = outcome {
-                let report = if sink {
-                    recmod_telemetry::uninstall()
-                } else {
-                    None
-                };
-                let entry = *entry;
-                let rendered = crate::render_diagnostics(&name, &entry.diags, core.cfg.max_errors);
-                let resp = Response {
-                    id: Json::Null, // filled by finish()
-                    status: entry.status.into(),
-                    attempts,
-                    injected: Vec::new(), // filled by finish()
-                    summaries: entry.summaries,
-                    diags: entry.diags,
-                    rendered,
-                    message: None,
-                    stats: None,
-                    trace_id: None, // filled by finish()
-                    trace: None,
-                    metrics: None,
-                };
-                core.metrics.work.record(tdiag::recorder_seq());
-                let busy = dispatched.elapsed().as_nanos() as u64;
-                core.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
-                pending.trace(
-                    "serve.attempt",
-                    || Some(format!("worker={wid} cache-hit")),
-                    nanos_since(core.epoch, dispatched),
-                    busy,
-                );
-                core.session_attempt(
-                    wid,
-                    FileEvent {
-                        name: name.clone(),
-                        tid: wid as u64,
-                        start_nanos: nanos_since(core.epoch, dispatched),
-                        dur_nanos: busy,
-                        instant: None,
-                    },
-                    report,
-                );
-                core.finish(pending, resp);
-                return;
-            }
+    // Arm the injected fault on the first attempt only: retries run
+    // unperturbed, which is what makes injected faults *transient* —
+    // the retried verdict converges to the unfaulted one. While it is
+    // armed, the compile skips the cache lookup, and a verdict the
+    // fault touched is never stored.
+    if attempts == 1 {
+        if let Some(inj) = pending.injection {
+            fault::arm(inj);
         }
     }
     // Park the request where the supervisor can recover it if this
@@ -1327,29 +1266,22 @@ fn serve_one(
         slot.started = Some(dispatched);
         slot.pending = Some(pending);
     }
-    // Arm the injected fault on the first attempt only: retries run
-    // unperturbed, which is what makes injected faults *transient* —
-    // the retried verdict converges to the unfaulted one.
-    if first_attempt {
-        if let Some(inj) = injection {
-            fault::arm(inj);
-        }
-    }
-
-    let elab = match slot_elab.take() {
-        Some(mut e) => {
-            e.renew(limits);
-            e
-        }
-        None => Elaborator::with_limits(limits),
-    };
-    #[allow(clippy::result_large_err)] // one call per request; never propagated
-    let compile = || compile_with_limits_in(elab, &source);
     let compile_started = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(compile));
-    core.metrics
-        .compile
-        .record(compile_started.elapsed().as_nanos() as u64);
+    let mut verdict = crate::compile(
+        core.artifact_cache.as_ref(),
+        &name,
+        &source,
+        limits,
+        core.cfg.max_errors,
+        warm,
+    );
+    let hit = verdict.lookup.is_some_and(|l| l.hit);
+    if !hit {
+        let lookup_nanos = verdict.lookup.map_or(0, |l| l.nanos);
+        core.metrics
+            .compile
+            .record((compile_started.elapsed().as_nanos() as u64).saturating_sub(lookup_nanos));
+    }
 
     // Always disarm, even after a caught unwind: no fault state (or
     // deadline storm) may leak into the next request on this worker.
@@ -1363,28 +1295,25 @@ fn serve_one(
     }
 
     // An injected kill must genuinely take the worker down so the
-    // supervisor's reap-and-respawn path is exercised: capture the
+    // supervisor's reap-and-respawn path is exercised: save the
     // forensics, leave the request parked for the supervisor, re-raise.
-    if let Err(payload) = &result {
-        if fault::injected_kind(payload.as_ref()) == Some(FaultKind::Kill) {
-            {
-                let mut slot = lock(&core.inflight[wid]);
-                slot.crash = Some(tdiag::crash_data());
-                if let Some(parked) = slot.pending.as_mut() {
-                    parked.injected.push(FaultKind::Kill.label());
-                }
+    let kill =
+        |p: &mut Box<dyn std::any::Any + Send>| fault::injected_kind(&**p) == Some(FaultKind::Kill);
+    if let Some(payload) = verdict.panic.take_if(kill) {
+        {
+            let mut slot = lock(&core.inflight[wid]);
+            slot.crash = verdict.crash.take();
+            if let Some(parked) = slot.pending.as_mut() {
+                parked.injected.push(FaultKind::Kill.label());
             }
-            // The thread is about to die; retire its sink first so the
-            // attempt's partial report doesn't dangle in thread-local
-            // destruction order.
-            if sink {
-                let _ = recmod_telemetry::uninstall();
-            }
-            if let Err(payload) = result {
-                resume_unwind(payload);
-            }
-            return; // unreachable; keeps the checker happy
         }
+        // The thread is about to die; retire its sink first so the
+        // attempt's partial report doesn't dangle in thread-local
+        // destruction order.
+        if sink {
+            let _ = recmod_telemetry::uninstall();
+        }
+        resume_unwind(payload);
     }
 
     let Some(mut pending) = lock(&core.inflight[wid]).pending.take() else {
@@ -1406,6 +1335,14 @@ fn serve_one(
     if let Some(kind) = fired {
         pending.injected.push(kind.label());
     }
+    if let Some(l) = verdict.lookup {
+        pending.trace(
+            "serve.cache",
+            || Some(if l.hit { "hit" } else { "miss" }.to_string()),
+            nanos_since(core.epoch, l.at),
+            l.nanos,
+        );
+    }
     if pending.req.trace {
         if let Some(r) = &report {
             for span in &r.spans {
@@ -1416,45 +1353,17 @@ fn serve_one(
         }
     }
 
-    let (status, summaries, diags, rendered, returned, panicked) = match result {
-        Ok(Ok(compiled)) => (
-            FileStatus::Ok,
-            compiled.summaries(),
-            Vec::new(),
-            Vec::new(),
-            Some(compiled.elab),
-            false,
-        ),
-        Ok(Err((errors, elab))) => {
-            let status = crate::classify(&errors);
-            let diags = sdiag::from_errors(&source, &errors);
-            let rendered = crate::render_diagnostics(&name, &diags, core.cfg.max_errors);
-            (status, Vec::new(), diags, rendered, Some(elab), false)
-        }
-        Err(panic) => {
-            let msg = format!("panic during compilation: {}", crate::panic_message(&panic));
-            let rendered = vec![format!("{name}: internal error: {msg}")];
-            (
-                FileStatus::Internal,
-                Vec::new(),
-                vec![Diagnostic::internal("I002", msg)],
-                rendered,
-                None,
-                true,
-            )
-        }
-    };
-    *slot_elab = returned;
-
+    let status = verdict.status;
     let busy = dispatched.elapsed().as_nanos() as u64;
     core.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
     pending.trace(
         "serve.attempt",
         || {
-            Some(format!(
-                "worker={wid} status={}",
-                ResponseStatus::from(status).label()
-            ))
+            Some(if hit {
+                format!("worker={wid} cache-hit")
+            } else {
+                format!("worker={wid} status={}", status.label())
+            })
         },
         nanos_since(core.epoch, dispatched),
         busy,
@@ -1466,11 +1375,7 @@ fn serve_one(
             tid: wid as u64,
             start_nanos: nanos_since(core.epoch, dispatched),
             dur_nanos: busy,
-            instant: match status {
-                FileStatus::Limit => Some("limit".to_string()),
-                FileStatus::Internal => Some("internal".to_string()),
-                FileStatus::Ok | FileStatus::Error => None,
-            },
+            instant: status.is_crash().then(|| status.label().to_string()),
         },
         report,
     );
@@ -1480,33 +1385,15 @@ fn serve_one(
     let transient = match status {
         FileStatus::Ok | FileStatus::Error => false,
         FileStatus::Limit => fired.is_some(),
-        FileStatus::Internal => panicked,
+        FileStatus::Internal => verdict.panic.is_some(),
     };
-    if transient && attempts < max_attempts {
+    if transient && attempts < core.cfg.max_attempts {
         core.retry(pending);
         return;
     }
 
-    // Store deterministic verdicts that no fault touched: a fired
-    // injection may have perturbed the run even when the verdict class
-    // looks cacheable.
-    if matches!(status, FileStatus::Ok | FileStatus::Error) && fired.is_none() {
-        if let Some(c) = core.artifact_cache.as_ref() {
-            c.store(
-                crate::cache::key(&source, &limits, ""),
-                &crate::cache::Entry {
-                    status,
-                    summaries: summaries.clone(),
-                    diags: diags.clone(),
-                    counters: std::collections::BTreeMap::new(),
-                },
-            );
-        }
-    }
-
-    if matches!(status, FileStatus::Limit | FileStatus::Internal) {
-        let crash = tdiag::crash_data();
-        if let Some(path) = self_bundle(core, &name, &source, status, &limits, &crash) {
+    if let Some(crash) = &verdict.crash {
+        if let Some(path) = core.write_bundle(&name, &source, status.into(), &limits, crash) {
             core.log_event(
                 "crash-bundle",
                 &[
@@ -1522,9 +1409,9 @@ fn serve_one(
         status: status.into(),
         attempts,
         injected: Vec::new(), // filled by finish()
-        summaries,
-        diags,
-        rendered,
+        summaries: verdict.summaries,
+        diags: verdict.diags,
+        rendered: verdict.rendered,
         message: None,
         stats: None,
         trace_id: None, // filled by finish()
@@ -1532,17 +1419,6 @@ fn serve_one(
         metrics: None,
     };
     core.finish(pending, resp);
-}
-
-fn self_bundle(
-    core: &Core,
-    name: &str,
-    source: &str,
-    status: FileStatus,
-    limits: &Limits,
-    crash: &tdiag::CrashData,
-) -> Option<PathBuf> {
-    core.write_bundle(name, source, status.into(), limits, crash)
 }
 
 fn supervisor_loop(core: &Arc<Core>) {
@@ -2135,6 +2011,19 @@ mod tests {
     /// (trigger ≤ 64 judgement boundaries) is guaranteed to fire.
     fn busy_source() -> String {
         (0..80).map(|i| format!("val x{i} = {i} + {i}\n")).collect()
+    }
+
+    #[test]
+    fn response_labels_match_file_statuses() {
+        for s in [
+            FileStatus::Ok,
+            FileStatus::Error,
+            FileStatus::Limit,
+            FileStatus::Internal,
+        ] {
+            assert_eq!(ResponseStatus::from(s).label(), s.label());
+            assert_eq!(ResponseStatus::from(s).exit(), s.exit_code());
+        }
     }
 
     #[test]

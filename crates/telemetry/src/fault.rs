@@ -232,6 +232,17 @@ pub fn disarm() -> Option<FaultKind> {
     FIRED.with(|f| f.take())
 }
 
+/// Is an injection armed on this thread and not yet fired?
+pub fn armed() -> bool {
+    ARMED.with(|a| a.get())
+}
+
+/// The kind that fired on this thread since [`arm`], if any, without
+/// clearing the note (that is [`disarm`]'s job).
+pub fn fired() -> Option<FaultKind> {
+    FIRED.with(|f| f.get())
+}
+
 /// Is a deadline storm active on this thread?
 /// `Limits::deadline_passed` consults this so an injected storm
 /// unwinds through the same structural `L004` path a real blown

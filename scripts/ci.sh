@@ -234,6 +234,42 @@ assert stats["stats"]["workers_spawned"] == stats["stats"]["workers_joined"] + 1
 EOF
 echo "serve smoke: ok"
 
+echo "== serve cache smoke (serve replays its own artifact-cache entries) =="
+# Gating: the compile service through the artifact cache, end to end
+# through the CLI. The same check request is sent twice to
+# `recmodc serve --cache-dir D`: the first compiles and stores, the
+# second replays the entry. Both responses must be identical except
+# their trace ids, and the stats op must count exactly one hit and one
+# store. Mirrors the batch cache smoke above.
+SERVE_CACHE_DIR=$(mktemp -d)/entries
+SERVE_CACHE_DIR="$SERVE_CACHE_DIR" python3 - <<'EOF'
+import json, os, subprocess
+
+BIN = "./target/release/recmodc"
+p = subprocess.Popen([BIN, "serve", "--cache-dir", os.environ["SERVE_CACHE_DIR"]],
+                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                     stderr=subprocess.DEVNULL, text=True)
+req = {"id": 1, "name": "bad.rm", "source": "val x = 1\nval y = x + true"}
+out = []
+for r in [req, req, {"op": "stats", "id": 2}]:
+    p.stdin.write(json.dumps(r) + "\n")
+    p.stdin.flush()
+    line = p.stdout.readline()
+    assert line, f"server wedged: no response to {r}"
+    out.append(json.loads(line))
+p.stdin.close()
+assert p.wait(timeout=60) == 0, "server did not exit cleanly"
+first, second, stats = out
+assert first["status"] == "error" and first["rendered"], first
+assert first["trace_id"] != second["trace_id"], (first, second)
+strip = lambda r: {k: v for k, v in r.items() if k != "trace_id"}
+assert strip(first) == strip(second), (first, second)
+c = stats["stats"]["cache"]["counters"]
+assert c["hits"] == 1 and c["stores"] == 1, c
+EOF
+rm -rf "$(dirname "$SERVE_CACHE_DIR")"
+echo "serve cache smoke: ok"
+
 echo "== metrics smoke (serve telemetry: histograms, determinism, exposition) =="
 # Gating: the live-telemetry surface end to end through the CLI.
 # Checks: (1) after driving N requests the `metrics` op returns a

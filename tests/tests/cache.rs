@@ -7,9 +7,14 @@
 //! byte-identical with the cache off, cold, and warm.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::channel;
+use std::time::Duration;
 
 use recmod::driver::cache::{self, Cache, CacheConfig};
+use recmod::driver::serve::{Request, Response, ResponseStatus, ServeConfig, Server};
 use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
+use recmod::telemetry::fault::{FaultKind, FaultPlan};
+use recmod::telemetry::json::Json;
 use recmod::telemetry::Limits;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -362,5 +367,92 @@ fn entries_survive_reopening_the_cache() {
         panic!("entry did not survive reopening");
     };
     assert_eq!(entry.status, FileStatus::Ok);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cache.counters.{hits,stores}` from a server's `stats` document.
+fn serve_cache_counters(server: &Server) -> (u64, u64) {
+    let stats = server.stats_json();
+    let counters = stats
+        .get("cache")
+        .and_then(|c| c.get("counters"))
+        .expect("cache enabled");
+    let get = |k: &str| counters.get(k).and_then(Json::as_u64).expect(k);
+    (get("hits"), get("stores"))
+}
+
+/// Sends one check request and waits for its response.
+fn ask(server: &Server, id: u64, name: &str, source: &str) -> Response {
+    let (tx, rx) = channel();
+    server.submit(Request::new(id, name, source), tx);
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("server answers")
+}
+
+/// Batch and serve compile through one function under one cache key,
+/// so a server replays what a batch stored: the same verdict, rendered
+/// lines and summaries for every source, each a hit, nothing re-stored.
+#[test]
+fn serve_replays_batch_written_entries() {
+    const DEADLINE_MS: u64 = 30_000;
+    let dir = tmp_dir("serve-replay");
+    let jobs = corpus_jobs();
+    let batch = compile_batch(
+        &jobs,
+        &DriverConfig {
+            deadline_ms: Some(DEADLINE_MS),
+            ..cached_config(&dir)
+        },
+    );
+    let mut server = Server::start(ServeConfig {
+        cache: Some(CacheConfig::new(dir.clone())),
+        default_deadline_ms: Some(DEADLINE_MS),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    for (i, (job, want)) in jobs.iter().zip(&batch.outcomes).enumerate() {
+        let got = ask(&server, i as u64, &job.name, &job.source);
+        assert_eq!(
+            got.status,
+            ResponseStatus::from(want.status),
+            "{}",
+            job.name
+        );
+        assert_eq!(got.rendered, want.diagnostics, "{}", job.name);
+        assert_eq!(got.summaries, want.summaries, "{}", job.name);
+    }
+    assert_eq!(serve_cache_counters(&server), (jobs.len() as u64, 0));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An armed fault never reads the cache and a fired one never writes
+/// it: the faulted first attempt leaves no trace, and the one stored
+/// entry is the unfaulted retry's verdict.
+#[test]
+fn faults_bypass_the_cache() {
+    let dir = tmp_dir("serve-faults");
+    let mut server = Server::start(ServeConfig {
+        cache: Some(CacheConfig::new(dir.clone())),
+        faults: Some(FaultPlan::always(5, Some(FaultKind::Panic))),
+        backoff_ms: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    // Enough declarations that the injected panic (trigger at most 64
+    // judgement boundaries in) fires mid-compile.
+    let busy: String = (0..80).map(|i| format!("val x{i} = {i} + {i}\n")).collect();
+    let r = ask(&server, 1, "busy.rm", &busy);
+    assert_eq!(r.status, ResponseStatus::Ok);
+    assert_eq!(r.attempts, 2);
+    assert_eq!(r.injected, vec!["panic"]);
+    assert_eq!(serve_cache_counters(&server), (0, 1));
+    // The entry is there now, yet the next injected request's armed
+    // attempt still compiles, so its fault fires and it retries.
+    let r = ask(&server, 2, "busy.rm", &busy);
+    assert_eq!(r.status, ResponseStatus::Ok);
+    assert_eq!(r.attempts, 2);
+    assert_eq!(r.injected, vec!["panic"]);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
