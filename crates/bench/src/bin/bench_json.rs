@@ -33,6 +33,7 @@ use recmod::kernel::{Ctx, RecMode, Tc};
 use recmod::syntax::ast::Kind;
 use recmod::syntax::intern::intern_stats;
 use recmod::telemetry::json::{parse, Json};
+use recmod::telemetry::Counter;
 use recmod_bench::harness::{bench_quiet, BenchConfig};
 use recmod_bench::{
     gen_module_chain, gen_nested_pair, gen_rec_datatypes, gen_shao_pair, gen_unrolled_pair,
@@ -365,10 +366,10 @@ fn batch_hit_rates(jobs: &[Job], cfg: &DriverConfig) -> (Option<f64>, Option<f64
     let Some(merged) = &res.merged else {
         return (None, None);
     };
-    let get = |name: &str| merged.counters.get(name).copied().unwrap_or(0);
+    let rate_of = |hit, miss| rate(merged.counter(hit), merged.counter(miss));
     (
-        rate(get("kernel.whnf_cache_hit"), get("kernel.whnf_cache_miss")),
-        rate(get("syntax.intern_hit"), get("syntax.intern_miss")),
+        rate_of(Counter::KernelWhnfCacheHit, Counter::KernelWhnfCacheMiss),
+        rate_of(Counter::SyntaxInternHit, Counter::SyntaxInternMiss),
     )
 }
 

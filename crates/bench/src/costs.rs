@@ -84,64 +84,25 @@ fn measure_in_thread(source: &str) -> Costs {
     let _pin = recmod::syntax::intern::pin_thread();
     telemetry::install(telemetry::Config::default());
     let elab = Elaborator::with_limits(recmod::telemetry::Limits::default());
-    let (elab, ok) = match compile_with_limits_in(elab, source) {
-        Ok(compiled) => (compiled.elab, true),
-        Err((_, elab)) => (elab, false),
-    };
-    let kernel = elab.tc.stats();
+    let ok = compile_with_limits_in(elab, source).is_ok();
     let report = telemetry::uninstall().expect("sink installed above");
 
-    let mut costs = Costs::new();
-    fn put(costs: &mut Costs, name: String, v: u64) {
-        if v > 0 {
-            costs.insert(name, v);
-        }
-    }
     // A vanished counter compares as 0, so zero counts are elided and
     // `driver.compile_ok` pins the outcome even for all-zero failures.
+    let mut costs = Costs::new();
     costs.insert("driver.compile_ok".to_string(), u64::from(ok));
-    for (op, fuel) in kernel.fuel_pairs() {
-        put(&mut costs, format!("kernel.fuel.{}", op.key()), fuel);
-    }
-    put(
-        &mut costs,
-        "kernel.mu_unrolls".to_string(),
-        kernel.mu_unrolls,
-    );
-    put(
-        &mut costs,
-        "kernel.whnf_steps".to_string(),
-        kernel.whnf_steps,
-    );
-    put(
-        &mut costs,
-        "kernel.assumption_inserts".to_string(),
-        kernel.assumption_inserts,
-    );
-    put(
-        &mut costs,
-        "kernel.assumption.hwm".to_string(),
-        kernel.assumption_hwm,
-    );
-    put(
-        &mut costs,
-        "kernel.singleton_shortcuts".to_string(),
-        kernel.singleton_shortcuts,
-    );
-    for (&name, &v) in &report.counters {
+    for (c, v) in report.counters {
         // Wall-clock derived counters (`*.nanos`) are exactly what this
         // model exists to avoid; interner counters depend on global
         // table warmth (what the process interned before this example),
-        // so they are not a function of the source text; counters
-        // already covered by the kernel snapshot above are duplicates.
-        if names::is_time_based(name)
-            || name.starts_with("syntax.intern_")
-            || name.starts_with("intern.")
-            || costs.contains_key(name)
+        // so they are not a function of the source text.
+        let name = c.name();
+        if !names::is_time_based(name)
+            && !name.starts_with("syntax.intern_")
+            && !name.starts_with("intern.")
         {
-            continue;
+            costs.insert(name.to_string(), v);
         }
-        put(&mut costs, name.to_string(), v);
     }
     costs
 }

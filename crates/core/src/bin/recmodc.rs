@@ -1017,15 +1017,16 @@ fn write_log_json(path: &str, result: &recmod::driver::BatchResult) {
             let stages: std::collections::BTreeMap<String, Json> = counters
                 .iter()
                 .filter_map(|(k, v)| {
-                    k.strip_prefix("stage.")
+                    k.name()
+                        .strip_prefix("stage.")
                         .and_then(|rest| rest.strip_suffix(".nanos"))
                         .map(|stage| (stage.to_string(), Json::UInt(*v)))
                 })
                 .collect();
             let deltas: std::collections::BTreeMap<String, Json> = counters
                 .iter()
-                .filter(|(k, _)| !k.starts_with("stage."))
-                .map(|(k, v)| ((*k).to_string(), Json::UInt(*v)))
+                .filter(|(k, _)| !k.name().starts_with("stage."))
+                .map(|(k, v)| (k.name().to_string(), Json::UInt(*v)))
                 .collect();
             fields.push(("stages", Json::Obj(stages)));
             fields.push(("counters", Json::Obj(deltas)));
@@ -1072,8 +1073,8 @@ fn render_batch_stats(result: &recmod::driver::BatchResult) -> String {
         }
         let _ = writeln!(s, "counters:");
         for (k, v) in &report.counters {
-            if !k.starts_with("stage.") {
-                let _ = writeln!(s, "  {k} = {v}");
+            if !k.name().starts_with("stage.") {
+                let _ = writeln!(s, "  {} = {v}", k.name());
             }
         }
     }
@@ -1143,7 +1144,7 @@ fn batch_stats_json(result: &recmod::driver::BatchResult) -> recmod::telemetry::
                 report
                     .counters
                     .iter()
-                    .map(|(k, v)| ((*k).to_string(), Json::UInt(*v)))
+                    .map(|(k, v)| (k.name().to_string(), Json::UInt(*v)))
                     .collect(),
             ),
         ));
@@ -1184,7 +1185,7 @@ fn run_pipeline(file: &str, src: &str, opts: &Options, mode: Mode) -> u8 {
     let (status, observed, diags) = match caught {
         Ok(x) => x,
         Err(payload) => {
-            recmod::telemetry::count("internal.panics", 1);
+            recmod::telemetry::count(recmod::telemetry::Counter::InternalPanics, 1);
             let msg = recmod::driver::panic_message(&*payload);
             eprintln!("{file}: internal error: panic: {msg}");
             eprintln!("{file}: this is a bug in recmodc, not in your program");

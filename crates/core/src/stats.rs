@@ -13,7 +13,7 @@ use recmod_eval::EvalStats;
 use recmod_kernel::{FuelOp, KernelStats};
 use recmod_syntax::intern::{intern_stats, InternStats};
 use recmod_telemetry::json::Json;
-use recmod_telemetry::{Report, Span};
+use recmod_telemetry::{Counter, Report, Span};
 
 use crate::Compiled;
 
@@ -150,7 +150,7 @@ impl StatsReport {
         }
         if let Some(t) = &self.telemetry {
             for (name, v) in &t.counters {
-                out.push_str(&format!("counter {name}: {v}\n"));
+                out.push_str(&format!("counter {}: {v}\n", name.name()));
             }
         }
         if let Some(e) = &self.eval {
@@ -162,33 +162,36 @@ impl StatsReport {
         out
     }
 
-    fn counter(&self, name: &str) -> u64 {
-        self.telemetry.as_ref().map_or(0, |t| t.counter(name))
+    fn counter(&self, c: Counter) -> u64 {
+        self.telemetry.as_ref().map_or(0, |t| t.counter(c))
     }
 
     fn phase_json(&self) -> Json {
-        let nodes_in = self.counter("phase.nodes_in");
-        let nodes_out =
-            self.counter("phase.nodes_out_static") + self.counter("phase.nodes_out_dynamic");
+        let nodes_in = self.counter(Counter::PhaseNodesIn);
+        let nodes_out = self.counter(Counter::PhaseNodesOutStatic)
+            + self.counter(Counter::PhaseNodesOutDynamic);
         let blowup = if nodes_in == 0 {
             Json::Null
         } else {
             Json::Float(nodes_out as f64 / nodes_in as f64)
         };
         Json::obj([
-            ("split_calls", Json::UInt(self.counter("phase.split_calls"))),
+            (
+                "split_calls",
+                Json::UInt(self.counter(Counter::PhaseSplitCalls)),
+            ),
             (
                 "verify_calls",
-                Json::UInt(self.counter("phase.verify_calls")),
+                Json::UInt(self.counter(Counter::PhaseVerifyCalls)),
             ),
             ("nodes_in", Json::UInt(nodes_in)),
             (
                 "nodes_out_static",
-                Json::UInt(self.counter("phase.nodes_out_static")),
+                Json::UInt(self.counter(Counter::PhaseNodesOutStatic)),
             ),
             (
                 "nodes_out_dynamic",
-                Json::UInt(self.counter("phase.nodes_out_dynamic")),
+                Json::UInt(self.counter(Counter::PhaseNodesOutDynamic)),
             ),
             ("blowup", blowup),
         ])
@@ -196,7 +199,7 @@ impl StatsReport {
 
     fn surface_json(&self) -> Json {
         Json::obj([
-            ("topdecs", Json::UInt(self.counter("surface.topdecs"))),
+            ("topdecs", Json::UInt(self.counter(Counter::SurfaceTopdecs))),
             ("bindings", Json::UInt(self.bindings.len() as u64)),
         ])
     }

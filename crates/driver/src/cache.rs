@@ -44,7 +44,7 @@ use std::time::SystemTime;
 use recmod_surface::diag::Diagnostic;
 use recmod_telemetry::bundle::fnv1a;
 use recmod_telemetry::json::{self, Json};
-use recmod_telemetry::{Limits, SCHEMA_VERSION};
+use recmod_telemetry::{Counter, Limits, SCHEMA_VERSION};
 
 use crate::FileStatus;
 
@@ -302,12 +302,12 @@ impl Cache {
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == ErrorKind::NotFound => {
-                recmod_telemetry::count("cache.miss", 1);
+                recmod_telemetry::count(Counter::CacheMiss, 1);
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 return Outcome::Miss;
             }
             Err(e) => {
-                recmod_telemetry::count("cache.io_error", 1);
+                recmod_telemetry::count(Counter::CacheIoError, 1);
                 self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                 self.warn("C001", format!("cannot read {}: {e}", path.display()));
                 return Outcome::IoError;
@@ -331,17 +331,17 @@ impl Cache {
                         let _ = f.set_modified(now);
                     }
                 }
-                recmod_telemetry::count("cache.hit", 1);
+                recmod_telemetry::count(Counter::CacheHit, 1);
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Outcome::Hit(entry)
             }
             Verified::Skew => {
-                recmod_telemetry::count("cache.miss", 1);
+                recmod_telemetry::count(Counter::CacheMiss, 1);
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 Outcome::Skew
             }
             Verified::Corrupt(why) => {
-                recmod_telemetry::count("cache.corrupt_skipped", 1);
+                recmod_telemetry::count(Counter::CacheCorruptSkipped, 1);
                 self.counters
                     .corrupt_skipped
                     .fetch_add(1, Ordering::Relaxed);
@@ -375,12 +375,12 @@ impl Cache {
             std::fs::write(&tmp, doc).and_then(|()| std::fs::rename(&tmp, self.entry_path(key)));
         match result {
             Ok(()) => {
-                recmod_telemetry::count("cache.store", 1);
+                recmod_telemetry::count(Counter::CacheStore, 1);
                 self.counters.stores.fetch_add(1, Ordering::Relaxed);
                 self.gc();
             }
             Err(e) => {
-                recmod_telemetry::count("cache.io_error", 1);
+                recmod_telemetry::count(Counter::CacheIoError, 1);
                 self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = std::fs::remove_file(&tmp);
                 self.warn("C001", format!("cannot write entry for {key:016x}: {e}"));
@@ -417,7 +417,7 @@ impl Cache {
                 break;
             }
             if std::fs::remove_file(&path).is_ok() {
-                recmod_telemetry::count("cache.gc_evicted", 1);
+                recmod_telemetry::count(Counter::CacheGcEvicted, 1);
                 self.counters.gc_evicted.fetch_add(1, Ordering::Relaxed);
                 total = total.saturating_sub(len);
             }

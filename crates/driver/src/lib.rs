@@ -57,7 +57,7 @@ use recmod_surface::elab::Elaborator;
 use recmod_surface::error::SurfaceError;
 use recmod_surface::pipeline::compile_with_limits_in;
 use recmod_telemetry::diag::CrashData;
-use recmod_telemetry::{fault, Config, Limits, Report};
+use recmod_telemetry::{fault, Config, Counter, Counts, Limits, Report};
 
 /// Process exit code for a clean batch.
 pub const EXIT_OK: u8 = 0;
@@ -175,12 +175,11 @@ pub struct FileOutcome {
     pub start_nanos: u64,
     /// Wall-clock nanoseconds spent compiling this file.
     pub nanos: u64,
-    /// Per-file counter deltas (two [`snapshot_counters`] snapshots
-    /// subtracted), recorded when [`DriverConfig::file_counters`] is
-    /// set and telemetry is installed.
-    ///
-    /// [`snapshot_counters`]: recmod_telemetry::snapshot_counters
-    pub counters: Option<std::collections::BTreeMap<&'static str, u64>>,
+    /// What the counters moved while this file compiled (a view of the
+    /// worker's counters against a baseline taken at the file's start),
+    /// recorded when [`DriverConfig::file_counters`] is set and
+    /// telemetry is installed.
+    pub counters: Option<std::collections::BTreeMap<Counter, u64>>,
 }
 
 /// Per-worker accounting returned alongside the outcomes.
@@ -493,8 +492,8 @@ fn worker_loop(
         let out = compile_one(wid, stolen, &jobs[idx], &mut elab, config, artifact_cache);
         outs.push((idx, out));
     }
-    recmod_telemetry::count("driver.files", outs.len() as u64);
-    recmod_telemetry::count("driver.steals", steals as u64);
+    recmod_telemetry::count(Counter::DriverFiles, outs.len() as u64);
+    recmod_telemetry::count(Counter::DriverSteals, steals as u64);
     let report = if config.telemetry.is_some() {
         recmod_telemetry::uninstall()
     } else {
@@ -534,11 +533,11 @@ fn next_job(wid: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<(usize, boo
 }
 
 /// Counters sampled into the trace's counter tracks after every file.
-const TRACK_COUNTERS: &[&str] = &[
-    "kernel.whnf_cache_hit",
-    "kernel.whnf_cache_miss",
-    "syntax.intern_hit",
-    "syntax.intern_miss",
+const TRACK_COUNTERS: &[Counter] = &[
+    Counter::KernelWhnfCacheHit,
+    Counter::KernelWhnfCacheMiss,
+    Counter::SyntaxInternHit,
+    Counter::SyntaxInternMiss,
 ];
 
 fn compile_one(
@@ -554,11 +553,7 @@ fn compile_one(
     // that crashed, not the worker's whole history.
     recmod_telemetry::diag::reset_recorder();
     let start_nanos = recmod_telemetry::epoch_offset_nanos(t0).unwrap_or(0);
-    let before = if config.file_counters {
-        recmod_telemetry::snapshot_counters()
-    } else {
-        None
-    };
+    let before = (config.file_counters && recmod_telemetry::enabled()).then(Counts::now);
     let limits = arm_deadline(config.limits, job.deadline_ms.or(config.deadline_ms));
     let verdict = compile(
         artifact_cache,
@@ -571,7 +566,7 @@ fn compile_one(
     if !config.warm {
         *slot = None;
     }
-    let counters = counter_delta(before);
+    let counters = before.map(|b| Counts::now().since(&b).nonzero());
     if recmod_telemetry::profiling_enabled() {
         // One counter-track sample per file boundary: cumulative cache
         // hit/miss counters plus gauges the sink cannot see (interner
@@ -689,7 +684,7 @@ pub(crate) fn compile(
             };
         }
     }
-    let before = keyed.and_then(|_| recmod_telemetry::snapshot_counters());
+    let before = (keyed.is_some() && recmod_telemetry::enabled()).then(Counts::now);
     let verdict = Verdict {
         lookup,
         ..compile_warm(name, source, limits, max_errors, warm)
@@ -703,10 +698,11 @@ pub(crate) fn compile(
                 status: verdict.status,
                 summaries: verdict.summaries.clone(),
                 diags: verdict.diags.clone(),
-                counters: counter_delta(before)
+                counters: before
+                    .map(|b| Counts::now().since(&b).nonzero())
                     .unwrap_or_default()
                     .into_iter()
-                    .map(|(n, v)| (n.to_string(), v))
+                    .map(|(c, v)| (c.name().to_string(), v))
                     .collect(),
             },
         );
@@ -748,7 +744,7 @@ fn compile_warm(
             (classify(&errors), Vec::new(), diags, rendered, None)
         }
         Err(panic) => {
-            recmod_telemetry::count("internal.panics", 1);
+            recmod_telemetry::count(Counter::InternalPanics, 1);
             let msg = format!("panic during compilation: {}", panic_message(&*panic));
             (
                 FileStatus::Internal,
@@ -770,26 +766,6 @@ fn compile_warm(
         panic,
         lookup: None,
     }
-}
-
-/// Subtracts a `file_counters` snapshot from the current counters,
-/// keeping only the counters that moved.
-fn counter_delta(
-    before: Option<std::collections::BTreeMap<&'static str, u64>>,
-) -> Option<std::collections::BTreeMap<&'static str, u64>> {
-    let before = before?;
-    recmod_telemetry::snapshot_counters().map(|after| {
-        after
-            .into_iter()
-            .map(|(name, v)| {
-                (
-                    name,
-                    v.saturating_sub(before.get(name).copied().unwrap_or(0)),
-                )
-            })
-            .filter(|&(_, v)| v > 0)
-            .collect()
-    })
 }
 
 /// The status a set of pipeline errors earns: an internal error
@@ -942,13 +918,13 @@ mod tests {
         };
         let res = compile_batch(&js, &cfg);
         let merged = res.merged.as_ref().expect("telemetry requested");
-        let files: u64 = merged.counters.get("driver.files").copied().unwrap_or(0);
+        let files: u64 = merged.counter(Counter::DriverFiles);
         assert_eq!(files, 9);
         let per_worker: u64 = res
             .workers
             .iter()
             .filter_map(|w| w.report.as_ref())
-            .filter_map(|r| r.counters.get("driver.files"))
+            .filter_map(|r| r.counters.get(&Counter::DriverFiles))
             .sum();
         assert_eq!(per_worker, 9);
     }

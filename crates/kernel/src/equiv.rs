@@ -24,6 +24,7 @@
 use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::{hc, NodeId};
 use recmod_syntax::subst::{shift_con, shift_kind, subst_con_kind};
+use recmod_telemetry::{count, count_max, Counter};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -89,8 +90,7 @@ impl Tc {
         // integer comparison per constructor level — `==` on `Con` is
         // shallow (variant tag plus child ids).
         if c1 == c2 {
-            crate::stats::TcStats::bump(&self.stat_cells().equiv_ptr_eqs);
-            recmod_telemetry::count("kernel.equiv_ptr_eq", 1);
+            count(Counter::KernelEquivPtrEq, 1);
             return Ok(());
         }
         match k {
@@ -98,7 +98,7 @@ impl Tc {
             Kind::Unit => Ok(()),
             // At a singleton kind both sides equal the (same) definition.
             Kind::Singleton(_) => {
-                crate::stats::TcStats::bump(&self.stat_cells().singleton_shortcuts);
+                count(Counter::KernelSingletonShortcuts, 1);
                 Ok(())
             }
             Kind::Pi(k1, k2) => ctx.with_con((**k1).clone(), |ctx| {
@@ -141,8 +141,7 @@ impl Tc {
         let a = self.whnf(ctx, c1)?;
         let b = self.whnf(ctx, c2)?;
         if a == b {
-            crate::stats::TcStats::bump(&self.stat_cells().equiv_ptr_eqs);
-            recmod_telemetry::count("kernel.equiv_ptr_eq", 1);
+            count(Counter::KernelEquivPtrEq, 1);
             return Ok(());
         }
         let key = (con_id(&a), con_id(&b));
@@ -150,8 +149,7 @@ impl Tc {
             return Ok(());
         }
         if self.equiv_cached((ctx.stamp(), key.0, key.1)) {
-            crate::stats::TcStats::bump(&self.stat_cells().equiv_cache_hits);
-            recmod_telemetry::count("kernel.equiv_cache_hit", 1);
+            count(Counter::KernelEquivCacheHit, 1);
             return Ok(());
         }
         match (&a, &b) {
@@ -163,8 +161,7 @@ impl Tc {
                     if self.is_contractive_cached(&a) && self.is_contractive_cached(&b) =>
                 {
                     self.note_assumption(seen, key);
-                    let st = self.stat_cells();
-                    st.mu_unrolls.set(st.mu_unrolls.get() + 2);
+                    count(Counter::KernelMuUnrolls, 2);
                     let ua = self.unroll_mu_cached(&a)?;
                     let ub = self.unroll_mu_cached(&b)?;
                     step(self.con_eq_type(ctx, &ua, &ub, seen), "unroll")
@@ -190,7 +187,7 @@ impl Tc {
                 if self.mode() == RecMode::Equi && self.is_contractive_cached(&a) =>
             {
                 self.note_assumption(seen, key);
-                crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
+                count(Counter::KernelMuUnrolls, 1);
                 let ua = self.unroll_mu_cached(&a)?;
                 step(self.con_eq_type(ctx, &ua, &b, seen), "unroll")
             }
@@ -198,7 +195,7 @@ impl Tc {
                 if self.mode() == RecMode::Equi && self.is_contractive_cached(&b) =>
             {
                 self.note_assumption(seen, key);
-                crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
+                count(Counter::KernelMuUnrolls, 1);
                 let ub = self.unroll_mu_cached(&b)?;
                 step(self.con_eq_type(ctx, &a, &ub, seen), "unroll")
             }
@@ -230,9 +227,8 @@ impl Tc {
     /// insert and the set's high-water mark.
     fn note_assumption(&self, seen: &mut Seen, key: (NodeId, NodeId)) {
         seen.insert(key);
-        let st = self.stat_cells();
-        crate::stats::TcStats::bump(&st.assumption_inserts);
-        crate::stats::TcStats::raise(&st.assumption_hwm, seen.len() as u64);
+        count(Counter::KernelAssumptionInserts, 1);
+        count_max(Counter::KernelAssumptionHwm, seen.len() as u64);
     }
 
     /// Structural equivalence of stuck paths, returning their common

@@ -57,14 +57,16 @@ pub mod whnf;
 
 use recmod_syntax::fxhash::{FxHashMap, FxHashSet};
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 
 use recmod_syntax::ast::Con;
 use recmod_syntax::intern::NodeId;
+use recmod_telemetry::Counts;
 
 pub use ctx::{Ctx, Entry};
 pub use error::{raise, TcResult, TypeError};
 pub use recmod_telemetry::{LimitExceeded, LimitKind, Limits};
-pub use stats::{FuelOp, KernelStats, TcStats};
+pub use stats::{FuelOp, KernelStats};
 
 /// How recursive constructors are treated by definitional equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,6 +116,15 @@ pub const DEFAULT_FUEL: u64 = 5_000_000;
 /// equivalence expansions across a checking run; exhausting it yields
 /// [`TypeError::FuelExhausted`] rather than divergence. (Decidability of
 /// equi-recursive equivalence at higher kinds is open — paper §5.)
+///
+/// A `Tc` is `!Send`: its judgement counters ([`Tc::stats`]) are a view
+/// of the telemetry counters of the thread it runs on, so it must be
+/// created, run and read on one thread.
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<recmod_kernel::Tc>();
+/// ```
 #[derive(Debug)]
 pub struct Tc {
     mode: RecMode,
@@ -122,7 +133,12 @@ pub struct Tc {
     limits: Limits,
     depth: Cell<usize>,
     deadline_tick: Cell<u32>,
-    stats: stats::TcStats,
+    /// The thread's counters when the checker was built: [`Tc::stats`]
+    /// counts from here.
+    base: Counts,
+    /// The thread's counters when the fuel budget was last reset: the
+    /// top consumers of a [`TypeError::FuelExhausted`] count from here.
+    fuel_base: Cell<Counts>,
     /// Weak-head normal forms, keyed by (context stamp, constructor id).
     /// Sound because a stamp names one exact declaration stack and
     /// interned ids name one exact constructor (see [`Ctx::stamp`]).
@@ -149,6 +165,8 @@ pub struct Tc {
     /// [`CACHE_CAP`]) — exactly what a serve worker re-checking the
     /// same recursive signatures wants.
     mu_unroll: RefCell<FxHashMap<NodeId, Con>>,
+    /// Keeps `Tc` on the thread whose counters it reads.
+    _one_thread: PhantomData<*const ()>,
 }
 
 /// Caches are cleared once they pass this many entries — a crude bound
@@ -191,6 +209,8 @@ impl Tc {
     /// A checker with an explicit mode and explicit [`Limits`]. The
     /// kernel honors the fuel, recursion-depth, and deadline bounds.
     pub fn with_mode_and_limits(mode: RecMode, limits: Limits) -> Self {
+        recmod_telemetry::restart_marks();
+        let base = Counts::now();
         Tc {
             mode,
             fuel: Cell::new(limits.fuel),
@@ -198,11 +218,13 @@ impl Tc {
             limits,
             depth: Cell::new(0),
             deadline_tick: Cell::new(0),
-            stats: stats::TcStats::default(),
+            base,
+            fuel_base: Cell::new(base),
             whnf_cache: RefCell::new(FxHashMap::default()),
             equiv_cache: RefCell::new(FxHashSet::default()),
             mu_contractive: RefCell::new(FxHashMap::default()),
             mu_unroll: RefCell::new(FxHashMap::default()),
+            _one_thread: PhantomData,
         }
     }
 
@@ -230,26 +252,26 @@ impl Tc {
     pub fn set_fuel(&self, fuel: u64) {
         self.fuel.set(fuel);
         self.budget.set(fuel);
+        self.fuel_base.set(Counts::now());
     }
 
-    /// A snapshot of the judgement counters accumulated so far.
+    /// The judgement counters accumulated since the checker was built: a
+    /// view of this thread's `kernel.*` counters. The assumption
+    /// high-water mark is not a difference but the thread's current mark,
+    /// which [`Tc::renew`] (and a telemetry sink install) restarts.
     pub fn stats(&self) -> stats::KernelStats {
-        self.stats.snapshot()
-    }
-
-    /// Zeroes the judgement counters (fuel itself is left alone).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
+        KernelStats::of(&Counts::now().since(&self.base))
     }
 
     pub(crate) fn burn(&self, op: stats::FuelOp) -> TcResult<()> {
-        self.stats.record_fuel(op);
+        recmod_telemetry::count(op.counter(), 1);
         let f = self.fuel.get();
         if f == 0 {
+            let spent = KernelStats::of(&Counts::now().since(&self.fuel_base.get()));
             return raise(TypeError::FuelExhausted {
                 op: op.name(),
                 budget: self.budget.get(),
-                top: self.stats.top_fuel(3),
+                top: spent.top_fuel(3),
             });
         }
         self.fuel.set(f - 1);
@@ -280,10 +302,6 @@ impl Tc {
         }
         self.depth.set(d + 1);
         Ok(DepthGuard { depth: &self.depth })
-    }
-
-    pub(crate) fn stat_cells(&self) -> &stats::TcStats {
-        &self.stats
     }
 
     /// Looks up a memoized weak-head normal form.
@@ -373,9 +391,10 @@ impl Tc {
     }
 
     /// Re-arms the checker for a fresh run under new [`Limits`] while
-    /// keeping its memo tables **warm**: fuel and the live recursion
-    /// depth reset, the deadline is the new one, but the whnf and
-    /// equivalence caches (and the judgement counters) carry over.
+    /// keeping its memo tables **warm**: fuel, the fuel attribution of
+    /// [`TypeError::FuelExhausted`], the counter marks and the live
+    /// recursion depth reset, the deadline is the new one, but the whnf
+    /// and equivalence caches (and the [`Tc::stats`] sums) carry over.
     ///
     /// This is the batch driver's per-file reset. Reuse is sound
     /// because both caches are keyed by context stamps: the empty
@@ -394,8 +413,8 @@ impl Tc {
     /// node id alone — context-free facts — so they carry over without
     /// pruning; [`CACHE_CAP`] bounds them instead.
     pub fn renew(&mut self, limits: Limits) {
-        self.fuel.set(limits.fuel);
-        self.budget.set(limits.fuel);
+        recmod_telemetry::restart_marks();
+        self.set_fuel(limits.fuel);
         self.depth.set(0);
         self.deadline_tick.set(0);
         self.limits = limits;

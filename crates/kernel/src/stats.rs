@@ -1,14 +1,17 @@
-//! Always-on judgement counters for the kernel.
+//! The kernel's judgement counters, as a view over the telemetry
+//! counter store.
 //!
-//! [`Tc`](crate::Tc) carries a [`TcStats`] of plain `Cell<u64>`s: every
-//! fuel tick is attributed to the [`FuelOp`] that burned it, and
+//! Every fuel tick is attributed to the [`FuelOp`] that burned it, and
 //! equivalence and normalization record μ-unrolls, weak-head steps,
-//! coinductive-assumption churn, and singleton short-circuits. The
-//! counters cost one `Cell` add per event (they are *not* gated on the
-//! telemetry sink), which keeps [`crate::TypeError::FuelExhausted`]
-//! able to report where fuel went even when no sink is installed.
+//! coinductive-assumption churn, cache traffic and singleton
+//! short-circuits. Each event is one [`recmod_telemetry::count`] on the
+//! calling thread's counter array (always on, no sink needed), which
+//! keeps [`crate::TypeError::FuelExhausted`] able to report where fuel
+//! went even when no sink is installed. [`KernelStats`] is a snapshot of
+//! the `kernel.*` block of that array minus a baseline; see
+//! [`crate::Tc::stats`].
 
-use std::cell::Cell;
+use recmod_telemetry::{Counter, Counts};
 
 /// The kernel operations that consume fuel — one variant per judgement
 /// family with a `burn` site.
@@ -75,105 +78,17 @@ impl FuelOp {
         }
     }
 
-    /// A stable machine-readable key (used in `--stats=json`).
+    /// The counter this operation's fuel is recorded in. The operations
+    /// map in declaration order onto the registry's `kernel.fuel.*`
+    /// block.
+    pub(crate) fn counter(self) -> Counter {
+        Counter::ALL[Counter::KernelFuelConEquiv as usize + self as usize]
+    }
+
+    /// A stable machine-readable key (used in `--stats=json`): the
+    /// counter name after `kernel.fuel.`.
     pub fn key(self) -> &'static str {
-        match self {
-            FuelOp::ConEquiv => "con_equiv",
-            FuelOp::MonoEquiv => "mono_equiv",
-            FuelOp::PathEquiv => "path_equiv",
-            FuelOp::Whnf => "whnf",
-            FuelOp::ConKinding => "con_kinding",
-            FuelOp::TermTyping => "term_typing",
-            FuelOp::TermEq => "term_eq",
-            FuelOp::TermNorm => "term_norm",
-            FuelOp::TypeExpose => "type_expose",
-            FuelOp::TypeEquiv => "type_equiv",
-            FuelOp::Subtype => "subtype",
-            FuelOp::ModuleTyping => "module_typing",
-        }
-    }
-
-    // `ALL` lists the variants in declaration order (checked by the
-    // `all_is_in_declaration_order` test), so the discriminant is the
-    // reporting index.
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Interior-mutable counters carried by [`crate::Tc`].
-#[derive(Debug, Default)]
-pub struct TcStats {
-    fuel_by_op: [Cell<u64>; 12],
-    pub(crate) mu_unrolls: Cell<u64>,
-    pub(crate) whnf_steps: Cell<u64>,
-    pub(crate) assumption_inserts: Cell<u64>,
-    pub(crate) assumption_hwm: Cell<u64>,
-    pub(crate) singleton_shortcuts: Cell<u64>,
-    pub(crate) whnf_cache_hits: Cell<u64>,
-    pub(crate) whnf_cache_misses: Cell<u64>,
-    pub(crate) equiv_ptr_eqs: Cell<u64>,
-    pub(crate) equiv_cache_hits: Cell<u64>,
-}
-
-impl TcStats {
-    pub(crate) fn record_fuel(&self, op: FuelOp) {
-        let cell = &self.fuel_by_op[op.index()];
-        cell.set(cell.get() + 1);
-    }
-
-    pub(crate) fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
-
-    pub(crate) fn raise(cell: &Cell<u64>, v: u64) {
-        cell.set(cell.get().max(v));
-    }
-
-    /// The `n` operations that burned the most fuel, descending,
-    /// zero-count operations omitted.
-    pub fn top_fuel(&self, n: usize) -> Vec<(&'static str, u64)> {
-        let mut all: Vec<(&'static str, u64)> = FuelOp::ALL
-            .iter()
-            .map(|&op| (op.name(), self.fuel_by_op[op.index()].get()))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        all.sort_by_key(|p| std::cmp::Reverse(p.1));
-        all.truncate(n);
-        all
-    }
-
-    /// An owned snapshot of every counter.
-    pub fn snapshot(&self) -> KernelStats {
-        KernelStats {
-            fuel_by_op: FuelOp::ALL.map(|op| self.fuel_by_op[op.index()].get()),
-            mu_unrolls: self.mu_unrolls.get(),
-            whnf_steps: self.whnf_steps.get(),
-            assumption_inserts: self.assumption_inserts.get(),
-            assumption_hwm: self.assumption_hwm.get(),
-            singleton_shortcuts: self.singleton_shortcuts.get(),
-            whnf_cache_hits: self.whnf_cache_hits.get(),
-            whnf_cache_misses: self.whnf_cache_misses.get(),
-            equiv_ptr_eqs: self.equiv_ptr_eqs.get(),
-            equiv_cache_hits: self.equiv_cache_hits.get(),
-            ..KernelStats::default()
-        }
-    }
-
-    /// Zeroes every counter (e.g. between top-level declarations).
-    pub fn reset(&self) {
-        for c in &self.fuel_by_op {
-            c.set(0);
-        }
-        self.mu_unrolls.set(0);
-        self.whnf_steps.set(0);
-        self.assumption_inserts.set(0);
-        self.assumption_hwm.set(0);
-        self.singleton_shortcuts.set(0);
-        self.whnf_cache_hits.set(0);
-        self.whnf_cache_misses.set(0);
-        self.equiv_ptr_eqs.set(0);
-        self.equiv_cache_hits.set(0);
+        &self.counter().name()["kernel.fuel.".len()..]
     }
 }
 
@@ -219,6 +134,36 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// The kernel block of a counter view.
+    pub(crate) fn of(counts: &Counts) -> KernelStats {
+        KernelStats {
+            fuel_by_op: FuelOp::ALL.map(|op| counts.get(op.counter())),
+            mu_unrolls: counts.get(Counter::KernelMuUnrolls),
+            whnf_steps: counts.get(Counter::KernelWhnfSteps),
+            assumption_inserts: counts.get(Counter::KernelAssumptionInserts),
+            assumption_hwm: counts.get(Counter::KernelAssumptionHwm),
+            singleton_shortcuts: counts.get(Counter::KernelSingletonShortcuts),
+            whnf_cache_hits: counts.get(Counter::KernelWhnfCacheHit),
+            whnf_cache_misses: counts.get(Counter::KernelWhnfCacheMiss),
+            equiv_ptr_eqs: counts.get(Counter::KernelEquivPtrEq),
+            equiv_cache_hits: counts.get(Counter::KernelEquivCacheHit),
+            ..KernelStats::default()
+        }
+    }
+
+    /// The `n` operations that burned the most fuel, descending, ties in
+    /// [`FuelOp::ALL`] order, zero-count operations omitted.
+    pub(crate) fn top_fuel(&self, n: usize) -> Vec<(&'static str, u64)> {
+        let mut all: Vec<(&'static str, u64)> = self
+            .fuel_pairs()
+            .map(|(op, c)| (op.name(), c))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        all.sort_by_key(|p| std::cmp::Reverse(p.1));
+        all.truncate(n);
+        all
+    }
+
     /// Total fuel burned across all operations.
     pub fn fuel_used(&self) -> u64 {
         self.fuel_by_op.iter().sum()
@@ -277,41 +222,61 @@ mod tests {
 
     #[test]
     fn top_fuel_sorts_and_truncates() {
-        let stats = TcStats::default();
-        stats.record_fuel(FuelOp::Whnf);
-        stats.record_fuel(FuelOp::Whnf);
-        stats.record_fuel(FuelOp::ConEquiv);
-        let top = stats.top_fuel(1);
-        assert_eq!(top, vec![("weak-head normalization", 2)]);
-        assert_eq!(stats.snapshot().fuel_used(), 3);
+        let mut stats = KernelStats::default();
+        stats.fuel_by_op[FuelOp::Whnf as usize] = 2;
+        stats.fuel_by_op[FuelOp::ConEquiv as usize] = 1;
+        assert_eq!(stats.top_fuel(1), vec![("weak-head normalization", 2)]);
+        assert_eq!(stats.fuel_used(), 3);
     }
 
     #[test]
     fn delta_subtracts_and_keeps_hwm() {
-        let stats = TcStats::default();
-        stats.record_fuel(FuelOp::Whnf);
-        TcStats::raise(&stats.assumption_hwm, 5);
-        let before = stats.snapshot();
-        stats.record_fuel(FuelOp::Whnf);
-        TcStats::raise(&stats.assumption_hwm, 9);
-        let d = stats.snapshot().delta_since(&before);
-        assert_eq!(d.fuel_used(), 1);
+        let before = KernelStats {
+            mu_unrolls: 1,
+            assumption_hwm: 5,
+            ..KernelStats::default()
+        };
+        let after = KernelStats {
+            mu_unrolls: 3,
+            assumption_hwm: 9,
+            ..KernelStats::default()
+        };
+        let d = after.delta_since(&before);
+        assert_eq!(d.mu_unrolls, 2);
         assert_eq!(d.assumption_hwm, 9);
     }
 
     #[test]
     fn all_is_in_declaration_order() {
         for (i, op) in FuelOp::ALL.into_iter().enumerate() {
-            assert_eq!(op.index(), i, "{}", op.name());
+            assert_eq!(op as usize, i, "{}", op.name());
+            assert_eq!(op.counter().name(), format!("kernel.fuel.{}", op.key()));
         }
+        assert_eq!(FuelOp::ModuleTyping.key(), "module_typing");
     }
 
     #[test]
     fn reset_zeroes_everything() {
-        let stats = TcStats::default();
-        stats.record_fuel(FuelOp::Subtype);
-        TcStats::bump(&stats.mu_unrolls);
-        stats.reset();
-        assert_eq!(stats.snapshot(), KernelStats::default());
+        // What `Tc::renew` does to the view: restart the marks and take a
+        // new baseline. The view then reads zero for every counter.
+        recmod_telemetry::count(FuelOp::Subtype.counter(), 1);
+        recmod_telemetry::count_max(Counter::KernelAssumptionHwm, 3);
+        recmod_telemetry::restart_marks();
+        let base = Counts::now();
+        assert_eq!(
+            KernelStats::of(&Counts::now().since(&base)),
+            KernelStats::default()
+        );
+    }
+
+    #[test]
+    fn the_view_reads_the_kernel_block() {
+        let before = Counts::now();
+        recmod_telemetry::count(FuelOp::Subtype.counter(), 2);
+        recmod_telemetry::count(Counter::KernelMuUnrolls, 1);
+        let stats = KernelStats::of(&Counts::now().since(&before));
+        assert_eq!(stats.fuel_by_op[FuelOp::Subtype as usize], 2);
+        assert_eq!(stats.fuel_used(), 2);
+        assert_eq!(stats.mu_unrolls, 1);
     }
 }

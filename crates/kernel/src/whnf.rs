@@ -24,6 +24,7 @@
 use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::{subst_con_con, subst_con_kind};
+use recmod_telemetry::{count, Counter};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -245,12 +246,10 @@ impl Tc {
         let _trace = recmod_telemetry::trace_span(|| format!("whnf {}", crate::show::con(c)));
         let key = (ctx.stamp(), hc(c.clone()).id());
         if let Some(w) = self.whnf_cached(key) {
-            crate::stats::TcStats::bump(&self.stat_cells().whnf_cache_hits);
-            recmod_telemetry::count("kernel.whnf_cache_hit", 1);
+            count(Counter::KernelWhnfCacheHit, 1);
             return Ok(w);
         }
-        crate::stats::TcStats::bump(&self.stat_cells().whnf_cache_misses);
-        recmod_telemetry::count("kernel.whnf_cache_miss", 1);
+        count(Counter::KernelWhnfCacheMiss, 1);
         let out = self.whnf_uncached(ctx, c)?;
         self.whnf_remember(key, out.clone());
         Ok(out)
@@ -267,7 +266,7 @@ impl Tc {
                     match f {
                         Con::Lam(_, body) => c = subst_con_con(&body, &a),
                         Con::Mu(_, _) if self.is_contractive_cached(&f) => {
-                            crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
+                            count(Counter::KernelMuUnrolls, 1);
                             c = Con::App(hc(self.unroll_mu_cached(&f)?), a);
                         }
                         _ => {
@@ -284,7 +283,7 @@ impl Tc {
                     match p {
                         Con::Pair(l, _) => c = l.take(),
                         Con::Mu(_, _) if self.is_contractive_cached(&p) => {
-                            crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
+                            count(Counter::KernelMuUnrolls, 1);
                             c = Con::Proj1(hc(self.unroll_mu_cached(&p)?));
                         }
                         _ => {
@@ -301,7 +300,7 @@ impl Tc {
                     match p {
                         Con::Pair(_, r) => c = r.take(),
                         Con::Mu(_, _) if self.is_contractive_cached(&p) => {
-                            crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
+                            count(Counter::KernelMuUnrolls, 1);
                             c = Con::Proj2(hc(self.unroll_mu_cached(&p)?));
                         }
                         _ => {
@@ -331,7 +330,7 @@ impl Tc {
             }
             // Every arm either returned (head normal / stuck) or reduced
             // and fell through to here: count one head-reduction step.
-            crate::stats::TcStats::bump(&self.stat_cells().whnf_steps);
+            count(Counter::KernelWhnfSteps, 1);
         }
     }
 

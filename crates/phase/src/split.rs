@@ -25,6 +25,7 @@ use recmod_syntax::intern::hc;
 use recmod_syntax::map::{map_con, map_term, VarMap};
 use recmod_syntax::size::{con_size, module_size, term_size};
 use recmod_syntax::subst::{shift_con, subst_con_ty};
+use recmod_telemetry::{Counter, Stage};
 
 /// The two phases of a module: its compile-time constructor and its
 /// run-time term.
@@ -92,14 +93,14 @@ impl VarMap for FixBodyRedirect<'_> {
 /// Propagates kernel errors from resolving rds annotations; the input is
 /// assumed well-typed (run the kernel first).
 pub fn split_module(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
-    recmod_telemetry::stage("stage.split", || {
+    recmod_telemetry::stage(Stage::Split, || {
         let _span = recmod_telemetry::span("phase.split");
-        recmod_telemetry::count("phase.split_calls", 1);
+        recmod_telemetry::count(Counter::PhaseSplitCalls, 1);
         let split = split_inner(tc, ctx, m)?;
         if recmod_telemetry::enabled() {
-            recmod_telemetry::count("phase.nodes_in", module_size(m) as u64);
-            recmod_telemetry::count("phase.nodes_out_static", con_size(&split.con) as u64);
-            recmod_telemetry::count("phase.nodes_out_dynamic", term_size(&split.term) as u64);
+            recmod_telemetry::count(Counter::PhaseNodesIn, module_size(m) as u64);
+            recmod_telemetry::count(Counter::PhaseNodesOutStatic, con_size(&split.con) as u64);
+            recmod_telemetry::count(Counter::PhaseNodesOutDynamic, term_size(&split.term) as u64);
         }
         Ok(split)
     })

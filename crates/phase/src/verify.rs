@@ -12,6 +12,7 @@
 use recmod_kernel::module::ModTyping;
 use recmod_kernel::{raise, Ctx, Tc, TcResult, TypeError};
 use recmod_syntax::ast::Module;
+use recmod_telemetry::{Counter, Stage};
 
 use crate::split::{is_pure_structure, split_module, Split};
 
@@ -56,9 +57,9 @@ pub fn module_eq(tc: &Tc, ctx: &mut Ctx, m1: &Module, m2: &Module) -> TcResult<(
 /// signature match. [`TypeError::Other`] if the split output escapes the
 /// pure structure fragment.
 pub fn check_split(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Verified> {
-    recmod_telemetry::stage("stage.verify", || {
+    recmod_telemetry::stage(Stage::Verify, || {
         let _span = recmod_telemetry::span("phase.verify");
-        recmod_telemetry::count("phase.verify_calls", 1);
+        recmod_telemetry::count(Counter::PhaseVerifyCalls, 1);
         let original = tc.synth_module(ctx, m)?;
         let split = split_module(tc, ctx, m)?;
         let reassembled = split.clone().into_module();

@@ -18,6 +18,7 @@ use recmod_kernel::{Ctx, Entry, Tc, TypeError};
 use recmod_syntax::ast::{Con, Kind, Term};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::shift_con;
+use recmod_telemetry::Stage;
 
 use crate::ast::{Path, TyExp};
 use crate::env::{depth_delta, ElabEnv, Entity, StructEntity};
@@ -159,7 +160,7 @@ impl Elaborator {
     /// kernel time.
     pub(crate) fn kernel<R>(&mut self, f: impl FnOnce(&Tc, &mut Ctx) -> R) -> R {
         let Elaborator { tc, ctx, .. } = self;
-        recmod_telemetry::stage("stage.kernel", || f(tc, ctx))
+        recmod_telemetry::stage(Stage::Kernel, || f(tc, ctx))
     }
 
     pub(crate) fn fresh(&mut self, prefix: &str) -> String {

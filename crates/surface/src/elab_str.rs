@@ -19,6 +19,7 @@ use recmod_syntax::ast::{Con, Kind, Module, Sig, Term, Ty};
 use recmod_syntax::intern::hc;
 use recmod_syntax::map::VarMap;
 use recmod_syntax::subst::{shift_con, shift_kind, shift_term, shift_ty, subst_con_ty};
+use recmod_telemetry::Counter;
 
 use crate::ast::{Dec, SigExp, Spec, StrBind, StrExp, TopDec};
 use crate::elab::{Elaborator, TopBinding};
@@ -310,7 +311,7 @@ impl Elaborator {
 
     fn elab_topdec_inner(&mut self, dec: &TopDec) -> SurfaceResult<()> {
         let _span = recmod_telemetry::span("surface.elab_topdec");
-        recmod_telemetry::count("surface.topdecs", 1);
+        recmod_telemetry::count(Counter::SurfaceTopdecs, 1);
         match dec {
             TopDec::Signature { name, sig, .. } => {
                 let tmpl = self.elab_sigexp(sig)?;

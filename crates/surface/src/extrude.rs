@@ -30,6 +30,7 @@ use recmod_kernel::{raise, Ctx, Entry, Tc, TcResult, TypeError};
 use recmod_syntax::ast::{Con, Kind, Sig, Ty};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::{shift_kind, shift_ty};
+use recmod_telemetry::Stage;
 
 /// The result of extrusion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +65,7 @@ pub fn extrude(tc: &Tc, ctx: &mut Ctx, s: &Sig) -> TcResult<Extruded> {
     let m = count_opaque(kappa);
     if m == 0 {
         // Nothing to do: resolve directly.
-        let resolved = recmod_telemetry::stage("stage.kernel", || tc.resolve_sig(ctx, s))?;
+        let resolved = recmod_telemetry::stage(Stage::Kernel, || tc.resolve_sig(ctx, s))?;
         return Ok(Extruded {
             hoisted: 0,
             sig: resolved,
@@ -90,12 +91,11 @@ pub fn extrude(tc: &Tc, ctx: &mut Ctx, s: &Sig) -> TcResult<Extruded> {
     for _ in 0..m {
         ctx.push(Entry::Con(Kind::Type));
     }
-    let resolved =
-        recmod_telemetry::stage("stage.kernel", || tc.resolve_sig(ctx, &transparent_rds));
+    let resolved = recmod_telemetry::stage(Stage::Kernel, || tc.resolve_sig(ctx, &transparent_rds));
     let wf = resolved
         .as_ref()
         .ok()
-        .map(|r| recmod_telemetry::stage("stage.kernel", || tc.wf_sig(ctx, r)))
+        .map(|r| recmod_telemetry::stage(Stage::Kernel, || tc.wf_sig(ctx, r)))
         .unwrap_or(Ok(()));
     ctx.truncate(base);
     let resolved = resolved?;

@@ -14,7 +14,7 @@ use crate::ast::*;
 use crate::error::{ErrorKind, Span, SurfaceError, SurfaceResult};
 use crate::lexer::{lex, lex_recover};
 use crate::token::{Spanned, Tok};
-use recmod_telemetry::Limits;
+use recmod_telemetry::{Limits, Stage};
 
 /// Parses a whole program, stopping at the first error.
 ///
@@ -40,14 +40,14 @@ pub fn parse(src: &str) -> SurfaceResult<Program> {
 pub fn parse_with(src: &str, limits: &Limits) -> Result<Program, Vec<SurfaceError>> {
     // The frame makes lex/parse errors carry non-empty provenance.
     let _j = recmod_telemetry::judgement_span("surface.parse");
-    let (toks, mut errors) = recmod_telemetry::stage("stage.lex", || lex_recover(src, limits));
+    let (toks, mut errors) = recmod_telemetry::stage(Stage::Lex, || lex_recover(src, limits));
     let mut p = Parser {
         toks,
         pos: 0,
         limits: *limits,
         depth: 0,
     };
-    let program = recmod_telemetry::stage("stage.parse", || p.program_recover(&mut errors));
+    let program = recmod_telemetry::stage(Stage::Parse, || p.program_recover(&mut errors));
     if errors.is_empty() {
         Ok(program)
     } else {

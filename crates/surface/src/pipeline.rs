@@ -1,7 +1,7 @@
 //! The compilation pipeline: parse → elaborate → typecheck → link.
 
 use recmod_syntax::ast::Term;
-use recmod_telemetry::{stage, Limits};
+use recmod_telemetry::{stage, Limits, Stage};
 
 use crate::elab::Elaborator;
 use crate::error::{ErrorKind, SurfaceError, SurfaceResult};
@@ -50,7 +50,7 @@ pub fn compile_with(mut elab: Elaborator, src: &str) -> SurfaceResult<Compiled> 
     // never become this run's provenance.
     recmod_telemetry::diag::clear_failure();
     let prog = parse(src)?;
-    let main = stage("stage.elab", || -> SurfaceResult<Option<Term>> {
+    let main = stage(Stage::Elab, || -> SurfaceResult<Option<Term>> {
         for d in &prog.decls {
             elab.elab_topdec(d)?;
         }
@@ -111,7 +111,7 @@ pub fn compile_with_limits_in(
             return Err((errs, elab));
         }
     };
-    let main = stage("stage.elab", || {
+    let main = stage(Stage::Elab, || {
         for d in &prog.decls {
             if let Err(e) = elab.elab_topdec(d) {
                 let stop = e.is_limit();

@@ -32,8 +32,9 @@
 //! (try-lock first so contention is observable, then block), does an
 //! O(1) probe/insert under it, and releases before returning. No code
 //! path takes two shard locks at once, so there is no lock-order hazard.
-//! Statistics stay in per-thread `Cell`s — the shards carry no hot
-//! shared counters.
+//! Statistics go to the calling thread's telemetry counters
+//! (`syntax.intern_*`, `intern.shard.contended`) — the shards carry no
+//! hot shared counters.
 //!
 //! `NodeId`s are process-stable but **never persisted**: the driver's
 //! on-disk artifact cache stores rendered verdicts keyed by source
@@ -44,12 +45,13 @@
 //! node makes its entry collectable, and dead entries are swept when a
 //! shard doubles past a high-water mark, so long sessions do not leak.
 
-use std::cell::Cell;
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, TryLockError, Weak};
+
+use recmod_telemetry::{count, Counter, Counts};
 
 use crate::ast::{Con, Kind};
 
@@ -192,12 +194,11 @@ impl<T: Internable> ShardedTable<T> {
     /// Locks one shard, recovering from poisoning: the maps hold only
     /// weak entries, so the worst a panicking thread can leave behind is
     /// a half-inserted tombstone, which the next sweep reclaims.
-    fn lock_shard(&self, idx: usize, cells: &InternCells) -> std::sync::MutexGuard<'_, Shard<T>> {
+    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard<T>> {
         match self.shards[idx].try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
-                cells.contended.set(cells.contended.get() + 1);
-                recmod_telemetry::count("intern.shard.contended", 1);
+                count(Counter::InternShardContended, 1);
                 self.shards[idx]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -206,21 +207,19 @@ impl<T: Internable> ShardedTable<T> {
         }
     }
 
-    fn intern(&self, t: T, cells: &InternCells) -> HC<T> {
+    fn intern(&self, t: T) -> HC<T> {
         // One hash computation picks the shard *and* probes its map
         // (FxHashMap uses the same builder). The top bits select the
         // shard so the map's in-bucket distribution (low bits) stays
         // independent of the partition.
         let hash = crate::fxhash::FxBuildHasher::default().hash_one(&t);
         let idx = (hash >> (64 - SHARD_COUNT.trailing_zeros())) as usize & (SHARD_COUNT - 1);
-        let mut shard = self.lock_shard(idx, cells);
+        let mut shard = self.lock_shard(idx);
         if let Some(rc) = shard.map.get(&t).and_then(Weak::upgrade) {
-            cells.hits.set(cells.hits.get() + 1);
-            recmod_telemetry::count("syntax.intern_hit", 1);
+            count(Counter::SyntaxInternHit, 1);
             return HC(rc);
         }
-        cells.misses.set(cells.misses.get() + 1);
-        recmod_telemetry::count("syntax.intern_miss", 1);
+        count(Counter::SyntaxInternMiss, 1);
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let fv_bound = t.fv_bound_shallow();
         let rc = Arc::new(Node {
@@ -231,7 +230,7 @@ impl<T: Internable> ShardedTable<T> {
         shard.map.insert(t, Arc::downgrade(&rc));
         if shard.map.len() >= shard.sweep_at {
             shard.map.retain(|_, w| w.strong_count() > 0);
-            cells.sweeps.set(cells.sweeps.get() + 1);
+            count(Counter::SyntaxInternSweeps, 1);
             shard.sweep_at = (shard.map.len() * 2).max(1 << 10);
         }
         HC(rc)
@@ -251,7 +250,7 @@ impl<T: Internable> ShardedTable<T> {
         })
     }
 
-    fn sweep(&self, cells: &InternCells) -> u64 {
+    fn sweep(&self) -> u64 {
         let mut reclaimed = 0u64;
         for shard in &self.shards {
             let mut s = shard
@@ -262,7 +261,7 @@ impl<T: Internable> ShardedTable<T> {
             reclaimed += (before - s.map.len()) as u64;
             s.sweep_at = (s.map.len() * 2).max(1 << 10);
         }
-        cells.sweeps.set(cells.sweeps.get() + 1);
+        count(Counter::SyntaxInternSweeps, 1);
         reclaimed
     }
 }
@@ -270,16 +269,7 @@ impl<T: Internable> ShardedTable<T> {
 static CON_TABLE: LazyLock<ShardedTable<Con>> = LazyLock::new(ShardedTable::new);
 static KIND_TABLE: LazyLock<ShardedTable<Kind>> = LazyLock::new(ShardedTable::new);
 
-#[derive(Default)]
-struct InternCells {
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    sweeps: Cell<u64>,
-    contended: Cell<u64>,
-}
-
 thread_local! {
-    static CELLS: InternCells = InternCells::default();
     static PIN_CON: std::cell::RefCell<Option<Vec<HC<Con>>>> = const { std::cell::RefCell::new(None) };
     static PIN_KIND: std::cell::RefCell<Option<Vec<HC<Kind>>>> = const { std::cell::RefCell::new(None) };
 }
@@ -332,7 +322,7 @@ impl Internable for Con {
     }
 
     fn intern(self) -> HC<Con> {
-        let node = CELLS.with(|s| CON_TABLE.intern(self, s));
+        let node = CON_TABLE.intern(self);
         PIN_CON.with(|p| {
             if let Some(pins) = p.borrow_mut().as_mut() {
                 pins.push(node.clone());
@@ -354,7 +344,7 @@ impl Internable for Kind {
     }
 
     fn intern(self) -> HC<Kind> {
-        let node = CELLS.with(|s| KIND_TABLE.intern(self, s));
+        let node = KIND_TABLE.intern(self);
         PIN_KIND.with(|p| {
             if let Some(pins) = p.borrow_mut().as_mut() {
                 pins.push(node.clone());
@@ -369,8 +359,9 @@ impl Internable for Kind {
 // ---------------------------------------------------------------------------
 
 /// A snapshot of this thread's interning activity against the global
-/// table (plain data, `Send`). Hit/miss/sweep/contention counters are
-/// per-thread; entry counts are global (the table is shared).
+/// table (plain data, `Send`). Hit/miss/sweep/contention counts are a
+/// view of the calling thread's telemetry counters since the thread
+/// started; entry counts are global (the table is shared).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
     /// Interning requests answered by an existing node.
@@ -404,19 +395,12 @@ impl InternStats {
 /// Snapshots this thread's interning counters and the global table
 /// sizes.
 pub fn intern_stats() -> InternStats {
-    let (hits, misses, sweeps, contended) = CELLS.with(|s| {
-        (
-            s.hits.get(),
-            s.misses.get(),
-            s.sweeps.get(),
-            s.contended.get(),
-        )
-    });
+    let counts = Counts::now();
     InternStats {
-        hits,
-        misses,
-        sweeps,
-        contended,
+        hits: counts.get(Counter::SyntaxInternHit),
+        misses: counts.get(Counter::SyntaxInternMiss),
+        sweeps: counts.get(Counter::SyntaxInternSweeps),
+        contended: counts.get(Counter::InternShardContended),
         con_entries: CON_TABLE.entries(),
         kind_entries: KIND_TABLE.entries(),
     }
@@ -447,18 +431,7 @@ pub fn shard_occupancy() -> [u64; SHARD_COUNT] {
 /// Safe (if wasteful) to call concurrently from several threads: each
 /// shard is swept under its own lock.
 pub fn sweep_now() -> u64 {
-    CELLS.with(|s| CON_TABLE.sweep(s) + KIND_TABLE.sweep(s))
-}
-
-/// Zeroes this thread's interning hit/miss/sweep/contention counters
-/// (table contents are left alone — canonical nodes stay canonical).
-pub fn reset_intern_stats() {
-    CELLS.with(|s| {
-        s.hits.set(0);
-        s.misses.set(0);
-        s.sweeps.set(0);
-        s.contended.set(0);
-    });
+    CON_TABLE.sweep() + KIND_TABLE.sweep()
 }
 
 #[cfg(test)]
@@ -517,7 +490,6 @@ mod tests {
 
     #[test]
     fn stats_move() {
-        reset_intern_stats();
         let before = intern_stats();
         let _x = hc(cprod(cvar(41), cvar(41)));
         let after = intern_stats();

@@ -87,7 +87,7 @@ pub fn bundle_json(
             Json::Obj(
                 counters
                     .iter()
-                    .map(|(k, v)| ((*k).to_string(), Json::UInt(*v)))
+                    .map(|(c, v)| (c.name().to_string(), Json::UInt(*v)))
                     .collect(),
             ),
         ));

@@ -215,7 +215,7 @@ pub fn export_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{install, judgement_span, sample, span, uninstall, Config};
+    use crate::{install, judgement_span, sample, span, uninstall, Config, Counter};
 
     #[test]
     fn export_round_trips_and_has_the_required_fields() {
@@ -224,10 +224,10 @@ mod tests {
             let _outer = span("stage.kernel");
             let _inner = judgement_span("kernel.whnf");
         }
-        crate::count("kernel.whnf_cache_hit", 3);
-        crate::count("kernel.whnf_cache_miss", 1);
+        crate::count(Counter::KernelWhnfCacheHit, 3);
+        crate::count(Counter::KernelWhnfCacheMiss, 1);
         sample(
-            &["kernel.whnf_cache_hit", "kernel.whnf_cache_miss"],
+            &[Counter::KernelWhnfCacheHit, Counter::KernelWhnfCacheMiss],
             &[("syntax.intern_occupancy", 10)],
         );
         let report = uninstall().unwrap();

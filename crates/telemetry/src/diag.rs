@@ -287,8 +287,9 @@ pub struct CrashData {
     pub events: Vec<RecorderEvent>,
     /// Total events ever recorded (for gap detection).
     pub recorded: u64,
-    /// Counter snapshot from the telemetry sink, if installed.
-    pub counters: Option<std::collections::BTreeMap<&'static str, u64>>,
+    /// What the counters moved since the telemetry sink was installed,
+    /// if one is.
+    pub counters: Option<std::collections::BTreeMap<crate::Counter, u64>>,
 }
 
 /// Captures [`CrashData`] for the current thread.

@@ -2,7 +2,9 @@
 //!
 //! A zero-external-dependency telemetry layer for the recmod pipeline:
 //!
-//! * **counters** — named monotone counters and high-water marks;
+//! * **counters** — one always-on per-thread array of monotone counters
+//!   and high-water marks, indexed by the [`Counter`] registry in
+//!   [`names`];
 //! * **spans** — hierarchical wall-clock timings (via
 //!   [`std::time::Instant`]) assembled into a tree;
 //! * **trace** — a derivation-trace sink recording indented judgement
@@ -10,13 +12,22 @@
 //! * **JSON** — a hand-rolled emitter (and minimal parser, for tests)
 //!   in [`json`].
 //!
-//! The sink is *runtime-checked and thread-local*: instrumented code
-//! calls [`count`], [`span`], or [`trace_span`] unconditionally, and
-//! each call first reads a thread-local flag. When no sink is installed
-//! (the default), every entry point is a branch on a `Cell<bool>` and
-//! nothing else — the disabled path allocates nothing and never reads
-//! the clock. A test in the workspace asserts this stays within noise
-//! of the pre-instrumentation baseline.
+//! Counters are *always on*: [`count`] and [`count_max`] are one add
+//! (or max) on a slot of the calling thread's `[Cell<u64>; N]`, with no
+//! sink check. Everything that reports counts is a view that subtracts
+//! a baseline [`Counts`] snapshot from that array: a sink's
+//! [`Report::counters`] (baseline taken at [`install`]), the kernel's
+//! `Tc::stats`, the interner's `intern_stats` and the batch driver's
+//! per-file deltas. A view reads the array of the thread that calls it,
+//! so it must be read on the thread that did the work.
+//!
+//! The rest of the sink is *runtime-checked and thread-local*:
+//! instrumented code calls [`span`], [`stage`] or [`trace_span`]
+//! unconditionally, and each call first reads a thread-local flag. When
+//! no sink is installed (the default), those entry points are a branch
+//! on a `Cell<bool>` and nothing else — the disabled path allocates
+//! nothing and never reads the clock. A test in the workspace asserts
+//! this stays within noise of the pre-instrumentation baseline.
 //!
 //! Because the sink is thread-local, an evaluation running on a
 //! dedicated big-stack thread must install its own sink and ship the
@@ -27,9 +38,9 @@
 //!
 //! # Counter naming convention
 //!
-//! Counter names are dotted paths, `namespace.rest[.rest…]`, where the
-//! namespace identifies the layer that owns the counter (see
-//! [`names`]):
+//! Every counter is registered in [`names`], which holds its dotted
+//! name, `namespace.rest[.rest…]`, and whether it is a high-water mark.
+//! The namespace identifies the layer that owns the counter:
 //!
 //! | namespace    | layer                                             |
 //! |--------------|---------------------------------------------------|
@@ -41,11 +52,15 @@
 //! | `driver.*`   | the parallel batch driver                         |
 //! | `stage.*`    | pipeline stage timers (written by [`stage`])      |
 //! | `internal.*` | last-resort accounting (caught panics, …)         |
+//! | `cache.*`    | the driver's on-disk artifact cache               |
+//! | `intern.*`   | the global interner's shard-level traffic         |
 //!
-//! Names ending in `.hwm` are high-water marks and merge with `max`
-//! rather than `+`; names ending in `.nanos` are wall-clock derived and
-//! excluded from the deterministic cost model (see `bench_json
-//! --costs`).
+//! Marks (names ending in `.hwm`) merge with `max` rather than `+`, and
+//! a view reports their current value instead of subtracting: a mark
+//! restarts at 0 on [`install`] and on [`restart_marks`] (the kernel
+//! calls it when a checker run starts). Names ending in `.nanos` are
+//! wall-clock derived and excluded from the deterministic cost model
+//! (see `bench_json --costs`).
 //!
 //! # Profiling
 //!
@@ -62,15 +77,15 @@
 //! # Example
 //!
 //! ```
-//! use recmod_telemetry as telemetry;
+//! use recmod_telemetry::{self as telemetry, Counter};
 //!
 //! telemetry::install(telemetry::Config::default());
 //! {
 //!     let _outer = telemetry::span("compile");
-//!     telemetry::count("surface.tokens", 42);
+//!     telemetry::count(Counter::SurfaceTopdecs, 42);
 //! }
 //! let report = telemetry::uninstall().unwrap();
-//! assert_eq!(report.counter("surface.tokens"), 42);
+//! assert_eq!(report.counter(Counter::SurfaceTopdecs), 42);
 //! assert_eq!(report.spans[0].name, "compile");
 //! ```
 
@@ -88,6 +103,7 @@ pub mod names;
 pub mod profile;
 
 pub use limits::{parse_limits_spec, LimitExceeded, LimitKind, Limits};
+pub use names::{Counter, Stage};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -122,6 +138,8 @@ pub const PROFILE_SPAN_MAX_NODES: usize = 1_000_000;
 // ---------------------------------------------------------------------
 
 thread_local! {
+    /// The calling thread's counters, indexed by [`Counter`]. Always on.
+    static COUNTS: [Cell<u64>; names::COUNT] = const { [const { Cell::new(0) }; names::COUNT] };
     /// Fast-path flag: is a sink installed on this thread?
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     /// Fast-path flag: is derivation tracing requested?
@@ -235,7 +253,8 @@ struct Sink {
     config: Config,
     /// The instant span/sample offsets are measured from.
     epoch: Instant,
-    counters: BTreeMap<&'static str, u64>,
+    /// The thread's counters at install: the report's baseline.
+    base: Counts,
     span_roots: Vec<Span>,
     span_stack: Vec<OpenSpan>,
     span_nodes: usize,
@@ -252,7 +271,7 @@ impl Sink {
         Sink {
             config,
             epoch,
-            counters: BTreeMap::new(),
+            base: Counts::now(),
             span_roots: Vec::new(),
             span_stack: Vec::new(),
             span_nodes: 0,
@@ -285,7 +304,7 @@ impl Sink {
             }
         }
         Report {
-            counters: self.counters,
+            counters: Counts::now().since(&self.base).nonzero(),
             spans: self.span_roots,
             spans_dropped: self.span_dropped,
             samples: self.samples,
@@ -298,8 +317,9 @@ impl Sink {
 /// Everything one sink recorded. Plain data: `Send`, mergeable.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
-    /// Counter totals, keyed by counter name.
-    pub counters: BTreeMap<&'static str, u64>,
+    /// What the counters moved while the sink was installed, zeros
+    /// omitted, in name order.
+    pub counters: BTreeMap<Counter, u64>,
     /// Completed top-level spans in completion order.
     pub spans: Vec<Span>,
     /// Spans not recorded because the node limit was hit.
@@ -313,18 +333,22 @@ pub struct Report {
 }
 
 impl Report {
-    /// The value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// The value of a counter (0 when it did not move).
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters.get(&c).copied().unwrap_or(0)
     }
 
-    /// Merges `other` into `self`: counters merge per
-    /// [`merge_counter`] (add, except `.hwm` marks which take the max),
-    /// spans, samples, and trace lines append. This is the single merge
-    /// implementation — [`Report::merge`] folds with it.
+    /// Merges `other` into `self`: counters add, except marks which take
+    /// the max; spans, samples, and trace lines append. This is the
+    /// single merge implementation — [`Report::merge`] folds with it.
     pub fn absorb(&mut self, other: Report) {
-        for (k, v) in other.counters {
-            merge_counter(self.counters.entry(k).or_insert(0), k, v);
+        for (c, v) in other.counters {
+            let slot = self.counters.entry(c).or_insert(0);
+            *slot = if c.is_mark() {
+                (*slot).max(v)
+            } else {
+                *slot + v
+            };
         }
         self.spans.extend(other.spans);
         self.spans_dropped += other.spans_dropped;
@@ -357,21 +381,11 @@ impl Report {
 // Install / uninstall
 // ---------------------------------------------------------------------
 
-/// The merge rule for one counter: `.hwm` marks take the max, everything
-/// else adds. Both [`Report::absorb`] and the sink's own accumulation
-/// route through this, so there is exactly one definition of "merge".
-#[inline]
-pub fn merge_counter(slot: &mut u64, name: &str, v: u64) {
-    if name.ends_with(".hwm") {
-        *slot = (*slot).max(v);
-    } else {
-        *slot += v;
-    }
-}
-
 /// Installs a fresh sink on the current thread, replacing (and
-/// discarding) any previous one.
+/// discarding) any previous one. The sink's report counts from here:
+/// sums from the current values, marks from 0 ([`restart_marks`]).
 pub fn install(config: Config) {
+    restart_marks();
     TRACING.with(|t| t.set(config.trace_depth.is_some()));
     PROFILING.with(|p| p.set(config.profile));
     ACTIVE.with(|a| a.set(true));
@@ -415,24 +429,71 @@ fn with_sink<R>(f: impl FnOnce(&mut Sink) -> R) -> Option<R> {
 // Counters
 // ---------------------------------------------------------------------
 
-/// Adds `n` to the named counter. No-op without a sink.
+/// Adds `n` to counter `c` on the calling thread. Always on: one add
+/// on the thread's counter array, with or without a sink.
 #[inline]
-pub fn count(name: &'static str, n: u64) {
-    if enabled() {
-        with_sink(|s| *s.counters.entry(name).or_insert(0) += n);
-    }
+pub fn count(c: Counter, n: u64) {
+    COUNTS.with(|a| {
+        let slot = &a[c as usize];
+        slot.set(slot.get() + n);
+    });
 }
 
-/// Raises the named high-water mark to at least `v`. No-op without a
-/// sink. By convention mark names end in `.hwm` (so [`Report::absorb`]
-/// merges them with `max` rather than `+`).
+/// Raises mark `c` on the calling thread to at least `v`. Always on.
 #[inline]
-pub fn count_max(name: &'static str, v: u64) {
-    if enabled() {
-        with_sink(|s| {
-            let slot = s.counters.entry(name).or_insert(0);
-            *slot = (*slot).max(v);
-        });
+pub fn count_max(c: Counter, v: u64) {
+    COUNTS.with(|a| {
+        let slot = &a[c as usize];
+        slot.set(slot.get().max(v));
+    });
+}
+
+/// Restarts every mark on the calling thread at 0, so marks read from
+/// here on cover only what follows. [`install`] calls it, and so does
+/// the kernel when a checker run starts.
+pub fn restart_marks() {
+    COUNTS.with(|a| {
+        for &c in Counter::ALL.iter().filter(|c| c.is_mark()) {
+            a[c as usize].set(0);
+        }
+    });
+}
+
+/// A copy of the calling thread's counter array: the baseline every
+/// counter view subtracts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counts([u64; names::COUNT]);
+
+impl Counts {
+    /// The calling thread's counters now.
+    pub fn now() -> Counts {
+        COUNTS.with(|a| Counts(std::array::from_fn(|i| a[i].get())))
+    }
+
+    /// One counter's value.
+    pub fn get(&self, c: Counter) -> u64 {
+        self.0[c as usize]
+    }
+
+    /// What moved from `base` to `self`: sums subtract, marks keep their
+    /// value in `self`.
+    pub fn since(&self, base: &Counts) -> Counts {
+        Counts(std::array::from_fn(|i| {
+            if Counter::ALL[i].is_mark() {
+                self.0[i]
+            } else {
+                self.0[i].saturating_sub(base.0[i])
+            }
+        }))
+    }
+
+    /// The nonzero counters, in name order.
+    pub fn nonzero(&self) -> BTreeMap<Counter, u64> {
+        Counter::ALL
+            .iter()
+            .map(|&c| (c, self.get(c)))
+            .filter(|&(_, v)| v > 0)
+            .collect()
     }
 }
 
@@ -446,31 +507,25 @@ pub fn epoch_offset_nanos(at: Instant) -> Option<u64> {
     with_sink(|s| s.since_epoch(at))
 }
 
-/// A snapshot of every counter's current value (`None` without a sink).
-/// Batch drivers subtract two snapshots to attribute counters to one
-/// file; the map is small (tens of entries), so the clone is cheap
-/// relative to compiling a file.
-pub fn snapshot_counters() -> Option<BTreeMap<&'static str, u64>> {
-    if !enabled() {
-        return None;
-    }
-    with_sink(|s| s.counters.clone())
+/// What the counters moved since the sink was installed, zeros omitted
+/// (`None` without a sink): the report's counters so far.
+pub fn snapshot_counters() -> Option<BTreeMap<Counter, u64>> {
+    with_sink(|s| Counts::now().since(&s.base).nonzero())
 }
 
-/// Records a counter-track sample: the current values of `names` (as
-/// recorded by [`count`]) plus caller-computed `extra` pairs (gauges the
+/// Records a counter-track sample: the values of `counters` since the
+/// sink was installed plus caller-computed `extra` pairs (gauges the
 /// sink cannot see, e.g. interner occupancy), stamped with the time
 /// since the sink's epoch. No-op without a sink.
-pub fn sample(names: &[&'static str], extra: &[(&'static str, u64)]) {
+pub fn sample(counters: &[Counter], extra: &[(&'static str, u64)]) {
     if !enabled() {
         return;
     }
     with_sink(|s| {
         let nanos = s.since_epoch(Instant::now());
-        let mut values: Vec<(&'static str, u64)> = names
-            .iter()
-            .map(|&n| (n, s.counters.get(n).copied().unwrap_or(0)))
-            .collect();
+        let moved = Counts::now().since(&s.base);
+        let mut values: Vec<(&'static str, u64)> =
+            counters.iter().map(|&c| (c.name(), moved.get(c))).collect();
         values.extend_from_slice(extra);
         s.samples.push(CounterSample { nanos, values });
     });
@@ -580,14 +635,14 @@ impl Drop for SpanGuard {
 /// One open [`stage`] frame.
 #[derive(Debug)]
 struct StageFrame {
-    name: &'static str,
+    stage: Stage,
     start: Instant,
     /// Wall-clock nanoseconds already claimed by nested stages.
     child_nanos: u64,
 }
 
-/// Times `f` as pipeline stage `name`, attributing the elapsed
-/// wall-clock to the counters `<name>.nanos` and `<name>.calls`.
+/// Times `f` as pipeline stage `stage`, attributing the elapsed
+/// wall-clock to its counters [`Stage::nanos`] and [`Stage::calls`].
 ///
 /// Unlike [`span`], stage time is *exclusive*: nanoseconds spent inside
 /// a nested `stage` call (same name or not) are attributed to the inner
@@ -595,11 +650,11 @@ struct StageFrame {
 /// clock and recursive entry points never double-count. Without a sink
 /// this is a single branch and `f` runs untouched.
 #[inline]
-pub fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+pub fn stage<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
     if !enabled() {
         return f();
     }
-    let _g = StageGuard::open(name);
+    let _g = StageGuard::open(stage);
     f()
 }
 
@@ -610,39 +665,32 @@ pub fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
 /// complete-duration events for every pipeline stage.
 #[derive(Debug)]
 struct StageGuard {
-    active: bool,
-    /// Mirror span, live only when [`Config::profile`] is set. Declared
-    /// after `active` so it closes after the stage frame is attributed —
+    /// Mirror span, live only when [`Config::profile`] is set. It closes
+    /// after the stage frame is attributed (fields drop after `drop`) —
     /// either order is correct (span and stage stacks are independent).
     _span: SpanGuard,
 }
 
 impl StageGuard {
-    fn open(name: &'static str) -> StageGuard {
+    fn open(stage: Stage) -> StageGuard {
         let _span = if profiling_enabled() {
-            span(name)
+            span(stage.name())
         } else {
             SpanGuard { active: false }
         };
         STAGES.with(|s| {
             s.borrow_mut().push(StageFrame {
-                name,
+                stage,
                 start: Instant::now(),
                 child_nanos: 0,
             })
         });
-        StageGuard {
-            active: true,
-            _span,
-        }
+        StageGuard { _span }
     }
 }
 
 impl Drop for StageGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         STAGES.with(|s| {
             let mut stack = s.borrow_mut();
             let Some(frame) = stack.pop() else {
@@ -654,31 +702,9 @@ impl Drop for StageGuard {
                 parent.child_nanos += elapsed;
             }
             drop(stack);
-            let (nanos_key, calls_key) = stage_keys(frame.name);
-            with_sink(|sink| {
-                *sink.counters.entry(nanos_key).or_insert(0) += own;
-                if let Some(c) = calls_key {
-                    *sink.counters.entry(c).or_insert(0) += 1;
-                }
-            });
+            count(frame.stage.nanos(), own);
+            count(frame.stage.calls(), 1);
         });
-    }
-}
-
-/// Counter keys for a stage name. Counter names must be `&'static str`,
-/// so the `.nanos`/`.calls` pairing is a match over the fixed set of
-/// pipeline stages; an unknown stage records its nanoseconds under the
-/// raw name and no call count.
-fn stage_keys(name: &'static str) -> (&'static str, Option<&'static str>) {
-    match name {
-        "stage.lex" => ("stage.lex.nanos", Some("stage.lex.calls")),
-        "stage.parse" => ("stage.parse.nanos", Some("stage.parse.calls")),
-        "stage.elab" => ("stage.elab.nanos", Some("stage.elab.calls")),
-        "stage.kernel" => ("stage.kernel.nanos", Some("stage.kernel.calls")),
-        "stage.split" => ("stage.split.nanos", Some("stage.split.calls")),
-        "stage.verify" => ("stage.verify.nanos", Some("stage.verify.calls")),
-        "stage.eval" => ("stage.eval.nanos", Some("stage.eval.calls")),
-        other => (other, None),
     }
 }
 
@@ -703,25 +729,21 @@ impl Report {
         out
     }
 
-    /// Rolls the `stage.<name>.nanos` / `stage.<name>.calls` counter
-    /// pairs recorded by [`stage`] into a per-stage table keyed by the
-    /// short stage name (`"lex"`, `"parse"`, …).
+    /// Rolls the [`Stage::nanos`] / [`Stage::calls`] counter pairs
+    /// recorded by [`stage`] into a per-stage table keyed by the short
+    /// stage name (`"lex"`, `"parse"`, …), for the stages that ran.
     pub fn stage_totals(&self) -> BTreeMap<&'static str, StageTotal> {
-        let mut out: BTreeMap<&'static str, StageTotal> = BTreeMap::new();
-        for (&name, &v) in &self.counters {
-            if let Some(stage) = name
-                .strip_prefix("stage.")
-                .and_then(|rest| rest.strip_suffix(".nanos"))
-            {
-                out.entry(stage).or_default().nanos = v;
-            } else if let Some(stage) = name
-                .strip_prefix("stage.")
-                .and_then(|rest| rest.strip_suffix(".calls"))
-            {
-                out.entry(stage).or_default().calls = v;
-            }
-        }
-        out
+        Stage::ALL
+            .iter()
+            .map(|s| {
+                let total = StageTotal {
+                    nanos: self.counter(s.nanos()),
+                    calls: self.counter(s.calls()),
+                };
+                (&s.name()["stage.".len()..], total)
+            })
+            .filter(|(_, t)| *t != StageTotal::default())
+            .collect()
     }
 }
 
@@ -774,11 +796,11 @@ impl Drop for TraceGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Counter::{DriverFiles, DriverSteals, KernelAssumptionHwm as Mark};
 
     #[test]
     fn disabled_sink_records_nothing() {
         assert!(!enabled());
-        count("x", 5);
         let _g = span("nothing");
         drop(_g);
         assert!(uninstall().is_none());
@@ -787,14 +809,14 @@ mod tests {
     #[test]
     fn counters_add_and_marks_max() {
         install(Config::default());
-        count("a", 2);
-        count("a", 3);
-        count_max("d.hwm", 7);
-        count_max("d.hwm", 4);
+        count(DriverFiles, 2);
+        count(DriverFiles, 3);
+        count_max(Mark, 7);
+        count_max(Mark, 4);
         let r = uninstall().unwrap();
-        assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.counter("d.hwm"), 7);
-        assert_eq!(r.counter("untouched"), 0);
+        assert_eq!(r.counter(DriverFiles), 5);
+        assert_eq!(r.counter(Mark), 7);
+        assert_eq!(r.counter(Counter::CacheGcEvicted), 0);
     }
 
     #[test]
@@ -883,22 +905,23 @@ mod tests {
     #[test]
     fn absorb_merges_counters_spans_and_trace() {
         install(Config::with_trace(2));
-        count("n", 1);
-        count_max("m.hwm", 9);
+        count(DriverSteals, 1);
+        count_max(Mark, 9);
         let _ = trace_span(|| "one".into());
         let mut a = uninstall().unwrap();
 
         install(Config::with_trace(2));
-        count("n", 2);
-        count_max("m.hwm", 4);
+        count(DriverSteals, 2);
+        count_max(Mark, 4);
         {
             let _s = span("child");
         }
         let b = uninstall().unwrap();
 
+        assert_eq!(b.counter(Mark), 4, "install restarts marks");
         a.absorb(b);
-        assert_eq!(a.counter("n"), 3);
-        assert_eq!(a.counter("m.hwm"), 9);
+        assert_eq!(a.counter(DriverSteals), 3);
+        assert_eq!(a.counter(Mark), 9);
         assert_eq!(a.spans.len(), 1);
         assert_eq!(a.trace.len(), 1);
     }
@@ -912,9 +935,9 @@ mod tests {
                 std::hint::black_box(0u64);
             }
         };
-        stage("stage.parse", || {
+        stage(Stage::Parse, || {
             spin(4);
-            stage("stage.kernel", || spin(4));
+            stage(Stage::Kernel, || spin(4));
         });
         let r = uninstall().unwrap();
         let totals = r.stage_totals();
@@ -935,7 +958,7 @@ mod tests {
     fn recursive_stage_entries_do_not_double_count() {
         install(Config::default());
         fn rec(n: usize) {
-            stage("stage.kernel", || {
+            stage(Stage::Kernel, || {
                 if n > 0 {
                     rec(n - 1);
                 }
@@ -953,7 +976,7 @@ mod tests {
     #[test]
     fn stage_without_sink_is_a_noop() {
         assert!(!enabled());
-        let out = stage("stage.parse", || 17);
+        let out = stage(Stage::Parse, || 17);
         assert_eq!(out, 17);
         assert!(uninstall().is_none());
     }
@@ -963,14 +986,14 @@ mod tests {
         let mut reports = Vec::new();
         for i in 0..3u64 {
             install(Config::default());
-            count("worker.files", i + 1);
-            count_max("peak.hwm", 10 * (i + 1));
-            stage("stage.parse", || std::hint::black_box(0));
+            count(DriverFiles, i + 1);
+            count_max(Mark, 10 * (i + 1));
+            stage(Stage::Parse, || std::hint::black_box(0));
             reports.push(uninstall().unwrap());
         }
         let merged = Report::merge(reports);
-        assert_eq!(merged.counter("worker.files"), 6);
-        assert_eq!(merged.counter("peak.hwm"), 30);
+        assert_eq!(merged.counter(DriverFiles), 6);
+        assert_eq!(merged.counter(Mark), 30);
         assert_eq!(merged.stage_totals()["parse"].calls, 3);
     }
 
@@ -995,7 +1018,7 @@ mod tests {
     #[test]
     fn profile_mode_mirrors_stages_as_spans() {
         install(Config::profiled());
-        stage("stage.parse", || {
+        stage(Stage::Parse, || {
             let _j = judgement_span("kernel.whnf");
         });
         let r = uninstall().unwrap();
@@ -1024,20 +1047,20 @@ mod tests {
     #[test]
     fn samples_capture_counters_and_extras() {
         install(Config::default());
-        count("kernel.whnf_cache_hit", 3);
+        count(Counter::KernelWhnfCacheHit, 3);
         sample(
-            &["kernel.whnf_cache_hit", "kernel.untouched"],
+            &[Counter::KernelWhnfCacheHit, Counter::CacheGcEvicted],
             &[("syntax.intern_occupancy", 17)],
         );
-        count("kernel.whnf_cache_hit", 2);
-        sample(&["kernel.whnf_cache_hit"], &[]);
+        count(Counter::KernelWhnfCacheHit, 2);
+        sample(&[Counter::KernelWhnfCacheHit], &[]);
         let r = uninstall().unwrap();
         assert_eq!(r.samples.len(), 2);
         assert_eq!(
             r.samples[0].values,
             vec![
                 ("kernel.whnf_cache_hit", 3),
-                ("kernel.untouched", 0),
+                ("cache.gc_evicted", 0),
                 ("syntax.intern_occupancy", 17),
             ]
         );
@@ -1047,18 +1070,35 @@ mod tests {
 
     #[test]
     fn snapshot_counters_subtracts_into_deltas() {
+        count(DriverFiles, 100);
         install(Config::default());
-        count("driver.files", 2);
-        let before = snapshot_counters().unwrap();
-        count("driver.files", 3);
-        count("kernel.whnf_cache_hit", 1);
-        let after = snapshot_counters().unwrap();
+        count(DriverFiles, 2);
+        let before = Counts::now();
+        count(DriverFiles, 3);
+        count(Counter::KernelWhnfCacheHit, 1);
+        let delta = Counts::now().since(&before);
+        let snapshot = snapshot_counters().unwrap();
         let _ = uninstall();
-        let delta = |name: &str| {
-            after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0)
-        };
-        assert_eq!(delta("driver.files"), 3);
-        assert_eq!(delta("kernel.whnf_cache_hit"), 1);
+        assert_eq!(delta.get(DriverFiles), 3);
+        assert_eq!(delta.get(Counter::KernelWhnfCacheHit), 1);
+        assert_eq!(delta.nonzero().len(), 2, "{delta:?}");
+        // The sink's view starts at install, not at thread start.
+        assert_eq!(snapshot[&DriverFiles], 5);
+    }
+
+    #[test]
+    fn counting_needs_no_sink_and_marks_restart() {
+        assert!(!enabled());
+        let before = Counts::now();
+        count(DriverFiles, 4);
+        count_max(Mark, 6);
+        count_max(Mark, 2);
+        let delta = Counts::now().since(&before);
+        assert_eq!(delta.get(DriverFiles), 4);
+        assert_eq!(delta.get(Mark), 6);
+        restart_marks();
+        assert_eq!(Counts::now().get(Mark), 0);
+        assert_eq!(Counts::now().get(DriverFiles), before.get(DriverFiles) + 4);
     }
 
     #[test]

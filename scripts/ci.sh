@@ -62,6 +62,29 @@ else
 fi
 echo "batch smoke: ok"
 
+echo "== warm-worker determinism smoke (L003 top consumers) =="
+# Gating: fuel attribution must not leak between files on a warm worker.
+# functions.rm runs out of a 60-unit fuel budget; its L003 diagnostic
+# lists the judgement forms that burned the most fuel. Checked after
+# two other files on one worker (--jobs 1) and on two workers
+# (--jobs 2), that line must equal the one printed for the file alone.
+WARM_CRASH_DIR=$(mktemp -d)
+l003() { # l003 <files...>: the L003 diagnostic lines of a --fuel 60 check
+  ./target/release/recmodc check --no-cache --fuel 60 --crash-dir "$WARM_CRASH_DIR" \
+    "$@" 2>&1 | grep 'fuel exhausted.*\[L003\]' || true
+}
+alone=$(l003 tests/corpus/ok/functions.rm)
+three=(tests/corpus/ok/values.rm tests/corpus/ok/structure.rm tests/corpus/ok/functions.rm)
+jobs1=$(l003 --jobs 1 "${three[@]}")
+jobs2=$(l003 --jobs 2 "${three[@]}")
+rm -rf "$WARM_CRASH_DIR"
+if [[ -z "$alone" || "$jobs1" != "$alone" || "$jobs2" != "$alone" ]]; then
+  echo "warm-worker determinism smoke: FAILED"
+  printf 'alone:  %s\njobs 1: %s\njobs 2: %s\n' "$alone" "$jobs1" "$jobs2"
+  exit 1
+fi
+echo "warm-worker determinism smoke: ok"
+
 echo "== cache smoke (artifact cache: hits, byte-identity, opt-out) =="
 # Gating: the content-addressed artifact cache end to end through the
 # CLI. Checks: (1) a second run against a freshly-populated --cache-dir

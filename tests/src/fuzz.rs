@@ -631,6 +631,7 @@ fn case_intern_differential(rng: &mut Rng) -> Result<(), String> {
 /// all converge on one canonical `NodeId` per structurally-equal node.
 fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
     use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
+    use recmod::telemetry::Counter;
 
     let n = rng.range(3, 7);
     let jobs: Vec<Job> = (0..n)
@@ -653,7 +654,7 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
     // telemetry sink must be untouched by the workers.
     let intern_before = recmod::syntax::intern::intern_stats();
     recmod::telemetry::install(recmod::telemetry::Config::default());
-    recmod::telemetry::count("fuzz.sentinel", 1);
+    recmod::telemetry::count(Counter::InternalPanics, 1);
 
     let cfg = DriverConfig {
         jobs: 2,
@@ -679,7 +680,7 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
             "worker interning bled into the calling thread: {intern_before:?} -> {intern_after:?}"
         ));
     }
-    if own.counter("fuzz.sentinel") != 1 || own.counter("driver.files") != 0 {
+    if own.counter(Counter::InternalPanics) != 1 || own.counter(Counter::DriverFiles) != 0 {
         return Err(format!(
             "worker telemetry bled into the calling thread's sink: {:?}",
             own.counters
@@ -710,13 +711,13 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
     let merged_files = par
         .merged
         .as_ref()
-        .map(|r| r.counter("driver.files"))
+        .map(|r| r.counter(Counter::DriverFiles))
         .unwrap_or(0);
     let per_worker: u64 = par
         .workers
         .iter()
         .filter_map(|w| w.report.as_ref())
-        .map(|r| r.counter("driver.files"))
+        .map(|r| r.counter(Counter::DriverFiles))
         .sum();
     if merged_files != n as u64 || per_worker != n as u64 {
         return Err(format!(

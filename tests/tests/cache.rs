@@ -15,7 +15,7 @@ use recmod::driver::serve::{Request, Response, ResponseStatus, ServeConfig, Serv
 use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
 use recmod::telemetry::fault::{FaultKind, FaultPlan};
 use recmod::telemetry::json::Json;
-use recmod::telemetry::Limits;
+use recmod::telemetry::{Counter, Limits};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("recmod-itest-cache-{tag}-{}", std::process::id()));
@@ -305,13 +305,13 @@ fn cache_counters_track_hits_and_misses() {
     };
     let cold = compile_batch(&jobs, &cfg);
     let merged = cold.merged.as_ref().expect("telemetry requested");
-    assert_eq!(merged.counter("cache.miss"), n);
-    assert!(merged.counter("cache.store") > 0);
-    assert_eq!(merged.counter("cache.hit"), 0);
+    assert_eq!(merged.counter(Counter::CacheMiss), n);
+    assert!(merged.counter(Counter::CacheStore) > 0);
+    assert_eq!(merged.counter(Counter::CacheHit), 0);
     let warm = compile_batch(&jobs, &cfg);
     let merged = warm.merged.as_ref().expect("telemetry requested");
-    assert_eq!(merged.counter("cache.hit"), n);
-    assert_eq!(merged.counter("cache.miss"), 0);
+    assert_eq!(merged.counter(Counter::CacheHit), n);
+    assert_eq!(merged.counter(Counter::CacheMiss), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -339,7 +339,7 @@ fn racing_stores_of_one_key_leave_a_valid_entry() {
     );
     let second = compile_batch(&jobs, &cfg);
     let merged = second.merged.as_ref().expect("telemetry requested");
-    assert_eq!(merged.counter("cache.hit"), 16);
+    assert_eq!(merged.counter(Counter::CacheHit), 16);
     assert!(second.cache_warnings.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }

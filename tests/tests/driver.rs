@@ -2,7 +2,7 @@
 //! (ISSUE 4): scheduling must never show through in the output.
 
 use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
-use recmod::telemetry::Config;
+use recmod::telemetry::{Config, Counter};
 
 /// The full corpus as a batch, replicated so eight workers have
 /// meaningful contention and stealing actually happens.
@@ -89,8 +89,8 @@ fn merged_counters_are_the_sum_of_per_worker_counters() {
     let merged = res.merged.as_ref().expect("telemetry was requested");
     // For every counter in the merged report, the per-worker values must
     // sum to it exactly (merge is additive, never lossy).
-    for (key, total) in &merged.counters {
-        if key.ends_with(".hwm") {
+    for (&key, total) in &merged.counters {
+        if key.is_mark() {
             continue; // high-water marks merge by max, not sum
         }
         let sum: u64 = res
@@ -99,9 +99,9 @@ fn merged_counters_are_the_sum_of_per_worker_counters() {
             .filter_map(|w| w.report.as_ref())
             .map(|r| r.counter(key))
             .sum();
-        assert_eq!(sum, *total, "counter {key} is not additive across workers");
+        assert_eq!(sum, *total, "counter {} is not additive", key.name());
     }
-    assert_eq!(merged.counter("driver.files"), jobs.len() as u64);
+    assert_eq!(merged.counter(Counter::DriverFiles), jobs.len() as u64);
 }
 
 #[test]
@@ -244,5 +244,52 @@ fn worker_attribution_covers_every_file() {
     for o in &res.outcomes {
         assert!(o.worker < res.workers.len());
         assert!(o.nanos > 0, "{} has no time attributed", o.name);
+    }
+}
+
+#[test]
+fn fuel_exhaustion_reports_the_same_top_consumers_on_a_warm_worker() {
+    // Under a small fuel budget functions.rm runs out, and its L003
+    // diagnostic names the judgement forms that burned the most fuel. On
+    // a warm worker that checked other files first, those counts must
+    // still cover this file only: every file's rendered diagnostics must
+    // equal the file compiled alone, at jobs 1 and at jobs 2.
+    let files = [
+        ("values.rm", include_str!("../corpus/ok/values.rm")),
+        ("structure.rm", include_str!("../corpus/ok/structure.rm")),
+        ("functions.rm", include_str!("../corpus/ok/functions.rm")),
+    ];
+    // Fuel use depends on which interned nodes are alive (the kernel
+    // memos are keyed by node id), and other tests intern concurrently.
+    // Compiling every file once on this thread under a pin keeps all
+    // their nodes alive, so each compile below sees the same ids.
+    let _pin = recmod::syntax::intern::pin_thread();
+    let _live: Vec<_> = files.iter().map(|(_, s)| recmod::compile(s)).collect();
+    let jobs: Vec<Job> = files.iter().map(|(n, s)| Job::new(*n, *s)).collect();
+    let config = |workers| DriverConfig {
+        jobs: workers,
+        limits: recmod::telemetry::Limits::default().with_fuel(50),
+        ..DriverConfig::default()
+    };
+    let alone: Vec<Vec<String>> = jobs
+        .iter()
+        .map(|j| {
+            compile_batch(std::slice::from_ref(j), &config(1)).outcomes[0]
+                .diagnostics
+                .clone()
+        })
+        .collect();
+    assert!(
+        alone[2]
+            .iter()
+            .any(|d| d.contains("top consumers") && d.contains("[L003]")),
+        "functions.rm should exhaust its fuel: {:?}",
+        alone[2]
+    );
+    for workers in [1, 2] {
+        let batch = compile_batch(&jobs, &config(workers));
+        for (o, want) in batch.outcomes.iter().zip(&alone) {
+            assert_eq!(&o.diagnostics, want, "{} at jobs {workers}", o.name);
+        }
     }
 }

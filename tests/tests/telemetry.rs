@@ -6,6 +6,7 @@
 use recmod::stats::StatsReport;
 use recmod::telemetry;
 use recmod::telemetry::json::{self, Json};
+use recmod::telemetry::Counter;
 
 /// A small program exercising every pipeline stage: an opaquely sealed
 /// structure (signature matching, phase splitting) plus a value binding.
@@ -62,12 +63,12 @@ fn per_binding_counters_reset_between_declarations() {
 #[test]
 fn reinstalling_the_sink_resets_its_counters() {
     telemetry::install(telemetry::Config::default());
-    telemetry::count("t.probe", 7);
+    telemetry::count(Counter::DriverFiles, 7);
     // A second install replaces the sink wholesale; nothing leaks over.
     telemetry::install(telemetry::Config::default());
-    telemetry::count("t.probe", 1);
+    telemetry::count(Counter::DriverFiles, 1);
     let report = telemetry::uninstall().unwrap();
-    assert_eq!(report.counter("t.probe"), 1);
+    assert_eq!(report.counter(Counter::DriverFiles), 1);
     assert!(telemetry::uninstall().is_none());
 }
 
@@ -188,7 +189,7 @@ fn disabled_sink_path_is_near_zero_cost() {
     const ITERS: u64 = 200_000;
     let t0 = std::time::Instant::now();
     for i in 0..ITERS {
-        telemetry::count("overhead.probe", i);
+        telemetry::count(Counter::DriverFiles, i);
         let _g = telemetry::span("overhead.span");
         let _t = telemetry::trace_span(|| unreachable!("sink disabled"));
     }
