@@ -8,9 +8,8 @@
 //! numbers — each example is compiled on a fresh thread (fresh
 //! telemetry sink, fresh kernel caches), so the counts depend only on
 //! the compiler and the source text. Interner hit/miss counts are
-//! deliberately **excluded**: the interner is process-global (sharded,
-//! see `recmod_syntax::intern`), so whether a node is a hit depends on
-//! what else the process interned first — warmth, not work.
+//! deliberately **excluded**: whether a node is a hit depends on what
+//! the thread interned and kept alive before — warmth, not work.
 //!
 //! The checked-in baseline lives at `tests/golden_costs.json`:
 //!
@@ -62,10 +61,10 @@ pub fn measure_corpus() -> CostModel {
 }
 
 /// Compiles `source` in isolation and returns its counters. The fresh
-/// thread gives the run a fresh thread-local telemetry sink; the fresh
-/// elaborator gives it fresh kernel caches — together they make every
-/// counter a pure function of the source text (interner warmth, the one
-/// process-global input, is filtered out below).
+/// thread gives the run a fresh telemetry sink and fresh interner
+/// tables; the fresh elaborator gives it fresh kernel caches — together
+/// they make every counter a pure function of the source text
+/// (interner warmth is filtered out below).
 pub fn measure_example(source: &str) -> Costs {
     let source = source.to_string();
     std::thread::Builder::new()
@@ -77,10 +76,10 @@ pub fn measure_example(source: &str) -> Costs {
 }
 
 fn measure_in_thread(source: &str) -> Costs {
-    // Pin every node this thread interns: the interner is process-global,
-    // so without pins a re-interned node keeps its NodeId only while some
-    // thread happens to hold it alive — which would make the id-keyed
-    // kernel memo hit counts depend on concurrent threads' liveness.
+    // Pin every node this thread interns: without pins a re-interned
+    // node keeps its NodeId only while something still holds it, so the
+    // id-keyed kernel memo hit counts would depend on when elaboration
+    // happens to drop intermediate syntax.
     let _pin = recmod::syntax::intern::pin_thread();
     telemetry::install(telemetry::Config::default());
     let elab = Elaborator::with_limits(recmod::telemetry::Limits::default());
@@ -93,14 +92,10 @@ fn measure_in_thread(source: &str) -> Costs {
     costs.insert("driver.compile_ok".to_string(), u64::from(ok));
     for (c, v) in report.counters {
         // Wall-clock derived counters (`*.nanos`) are exactly what this
-        // model exists to avoid; interner counters depend on global
-        // table warmth (what the process interned before this example),
-        // so they are not a function of the source text.
+        // model exists to avoid; interner counters depend on table
+        // warmth, so they are not a function of the source text.
         let name = c.name();
-        if !names::is_time_based(name)
-            && !name.starts_with("syntax.intern_")
-            && !name.starts_with("intern.")
-        {
+        if !names::is_time_based(name) && !name.starts_with("syntax.intern_") {
             costs.insert(name.to_string(), v);
         }
     }

@@ -15,8 +15,8 @@
 //! `<file.rml>` may be `-` to read the program from stdin. Batch mode
 //! engages for `check` whenever `--jobs`/`--corpus` is given, more than
 //! one path is named, or a path is a directory (searched recursively
-//! for `*.rm`); it compiles files in parallel on worker threads sharing
-//! the global interner, with warm per-worker caches, and prints
+//! for `*.rm`); it compiles files in parallel on worker threads, each
+//! with its own interner and warm caches, and prints
 //! per-file diagnostics prefixed by the file name, in input order.
 //!
 //! Options:
@@ -893,6 +893,21 @@ fn write_batch_trace(path: &str, result: &recmod::driver::BatchResult) {
 /// telemetry report. The file pivot is handled by the callers, which
 /// know their file boundaries.
 fn render_report_profile(report: &recmod::telemetry::Report, by: ProfileBy) -> String {
+    let mut s = render_report_rows(report, by);
+    s.push_str(&dropped_spans_line(report));
+    s
+}
+
+/// The `--profile-text` footer saying that the span cap cut the
+/// profile short (empty when nothing was dropped).
+fn dropped_spans_line(report: &recmod::telemetry::Report) -> String {
+    match report.spans_dropped {
+        0 => String::new(),
+        n => format!("… {n} span(s) dropped past the span cap\n"),
+    }
+}
+
+fn render_report_rows(report: &recmod::telemetry::Report, by: ProfileBy) -> String {
     use recmod::telemetry::profile;
     match by {
         ProfileBy::Judgement => {
@@ -970,6 +985,9 @@ fn render_batch_profile(result: &recmod::driver::BatchResult, by: ProfileBy) -> 
                     o.status.label(),
                     o.name
                 ));
+            }
+            if let Some(report) = &result.merged {
+                s.push_str(&dropped_spans_line(report));
             }
             s
         }

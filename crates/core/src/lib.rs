@@ -56,7 +56,10 @@ pub use recmod_telemetry::{LimitExceeded, LimitKind, Limits};
 pub struct Outcome {
     /// The compiled program (bindings, signatures, linked term).
     pub compiled: Compiled,
-    /// The main expression's value, if the program had one.
+    /// The main expression's value, if the program had one. Its
+    /// evaluator is gone, so a recursive function inside it can be
+    /// inspected but not called: the call fails with
+    /// [`recmod_eval::EvalError::BlackHole`] (see [`recmod_eval::Interp`]).
     pub value: Option<Rc<recmod_eval::Value>>,
     /// Evaluation steps taken (0 when there was no main expression).
     pub steps: u64,

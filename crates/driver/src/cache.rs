@@ -8,8 +8,8 @@
 //! by `fnv1a` over precisely that tuple ([`key`]) and stores the
 //! verdict plus everything needed to replay the file's output without
 //! touching the pipeline. `NodeId`s are deliberately **never**
-//! persisted: they are process-stable (the global interner mints them in
-//! first-intern order), not run-stable.
+//! persisted: every thread's interner mints them in its own
+//! first-intern order, so they are not even stable across threads.
 //!
 //! Robustness is the design center, not an afterthought:
 //!
@@ -32,7 +32,11 @@
 //! Size is bounded by an LRU-ish garbage collector: hits bump an
 //! entry's mtime, and when the directory's total entry size exceeds the
 //! configured cap, the oldest-mtime entries are evicted down to 3/4 of
-//! the cap.
+//! the cap. The total is tracked in memory: the first store of a process
+//! scans the directory, every later store adds its size, and only a store
+//! that takes the total past the cap scans again. Opening the cache and
+//! loading from it never scan, and a store below the cap costs one write
+//! and one rename.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -135,6 +139,14 @@ pub struct Cache {
     max_bytes: u64,
     warnings: Mutex<Vec<CacheWarning>>,
     counters: CacheCounters,
+    /// Entry bytes in the directory as far as this process knows. It
+    /// starts above the cap, so the first store scans (and resets it);
+    /// every store adds its size and every GC scan re-reads it. Entries
+    /// written by other processes, and the old size of an entry a store
+    /// replaces, are only accounted at this process's next scan: with
+    /// several writers on one directory it can pass the cap by the other
+    /// writers' stores since then (the GC is best-effort).
+    entry_bytes: AtomicU64,
 }
 
 /// Process-wide cache activity counters, shared by every worker using
@@ -241,6 +253,7 @@ impl Cache {
                 max_bytes: config.max_bytes,
                 warnings: Mutex::new(Vec::new()),
                 counters: CacheCounters::default(),
+                entry_bytes: AtomicU64::new(config.max_bytes.saturating_add(1)),
             }),
             Err(e) => Err(CacheWarning {
                 code: "C003",
@@ -355,7 +368,8 @@ impl Cache {
     }
 
     /// Stores a verdict under `key` (atomic: temp file + rename), then
-    /// runs the size-capped GC. Only ok/error verdicts may be stored.
+    /// runs the size-capped GC if the tracked entry bytes passed the
+    /// cap. Only ok/error verdicts may be stored.
     pub fn store(&self, key: u64, entry: &Entry) {
         debug_assert!(
             matches!(entry.status, FileStatus::Ok | FileStatus::Error),
@@ -371,13 +385,17 @@ impl Cache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
+        let len = doc.len() as u64;
         let result =
             std::fs::write(&tmp, doc).and_then(|()| std::fs::rename(&tmp, self.entry_path(key)));
         match result {
             Ok(()) => {
                 recmod_telemetry::count(Counter::CacheStore, 1);
                 self.counters.stores.fetch_add(1, Ordering::Relaxed);
-                self.gc();
+                let before = self.entry_bytes.fetch_add(len, Ordering::Relaxed);
+                if before.saturating_add(len) > self.max_bytes {
+                    self.gc();
+                }
             }
             Err(e) => {
                 recmod_telemetry::count(Counter::CacheIoError, 1);
@@ -388,41 +406,53 @@ impl Cache {
         }
     }
 
-    /// Evicts oldest-mtime entries until the directory's entry bytes
-    /// fit in 3/4 of the cap (hysteresis so back-to-back stores don't
-    /// each rescan). Failures are ignored: GC is best-effort hygiene.
+    /// Rescans the directory and evicts oldest-mtime entries until its
+    /// entry bytes fit in 3/4 of the cap (hysteresis: the stores after a
+    /// GC run scan-free until the cap is passed again), then resets the
+    /// tracked total to what is left. Failures are ignored: GC is
+    /// best-effort hygiene.
     fn gc(&self) {
-        let Ok(read) = std::fs::read_dir(&self.dir) else {
+        let Some((mut entries, mut total)) = scan(&self.dir) else {
             return;
         };
-        let mut entries: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-        let mut total = 0u64;
-        for e in read.flatten() {
-            let path = e.path();
-            if path.extension().is_none_or(|ext| ext != "json") {
-                continue;
-            }
-            let Ok(meta) = e.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            total += meta.len();
-            entries.push((mtime, meta.len(), path));
-        }
-        if total <= self.max_bytes {
-            return;
-        }
-        entries.sort();
-        let floor = self.max_bytes / 4 * 3;
-        for (_, len, path) in entries {
-            if total <= floor {
-                break;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                recmod_telemetry::count(Counter::CacheGcEvicted, 1);
-                self.counters.gc_evicted.fetch_add(1, Ordering::Relaxed);
-                total = total.saturating_sub(len);
+        if total > self.max_bytes {
+            entries.sort();
+            let floor = self.max_bytes / 4 * 3;
+            for (_, len, path) in entries {
+                if total <= floor {
+                    break;
+                }
+                if std::fs::remove_file(&path).is_ok() {
+                    recmod_telemetry::count(Counter::CacheGcEvicted, 1);
+                    self.counters.gc_evicted.fetch_add(1, Ordering::Relaxed);
+                    total = total.saturating_sub(len);
+                }
             }
         }
+        self.entry_bytes.store(total, Ordering::Relaxed);
     }
+}
+
+/// A cache directory's entries as `(mtime, bytes, path)`.
+type Listing = Vec<(SystemTime, u64, PathBuf)>;
+
+/// Lists a cache directory's entries with their byte total; `None` if
+/// the directory cannot be read.
+fn scan(dir: &Path) -> Option<(Listing, u64)> {
+    let read = std::fs::read_dir(dir).ok()?;
+    let mut entries = Vec::new();
+    let mut total = 0u64;
+    for e in read.flatten() {
+        let path = e.path();
+        if path.extension().is_none_or(|ext| ext != "json") {
+            continue;
+        }
+        let Ok(meta) = e.metadata() else { continue };
+        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+        total += meta.len();
+        entries.push((mtime, meta.len(), path));
+    }
+    Some((entries, total))
 }
 
 fn payload_json(entry: &Entry) -> Json {
@@ -668,6 +698,54 @@ mod tests {
             .map(|e| e.metadata().map(|m| m.len()).unwrap_or(0))
             .sum();
         assert!(total <= 2048, "GC keeps the dir under the cap: {total}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_below_the_cap_do_not_rescan() {
+        let dir = tmp_dir("norescan");
+        // A foreign entry written behind the cache's back: twice the cap
+        // and older than anything else, so any directory scan finds the
+        // cap exceeded and evicts it first.
+        let foreign = dir.join(format!("{:016x}.json", 0));
+        let plant = || {
+            std::fs::write(&foreign, vec![b' '; 128 * 1024]).unwrap();
+            std::fs::File::options()
+                .write(true)
+                .open(&foreign)
+                .unwrap()
+                .set_modified(SystemTime::UNIX_EPOCH)
+                .unwrap();
+        };
+        let store = |cache: &Cache, i: u64| {
+            cache.store(
+                key(&format!("src{i}"), &Limits::default(), ""),
+                &sample_entry(),
+            );
+        };
+        std::fs::create_dir_all(&dir).unwrap();
+        plant();
+        let cache = Cache::open(&CacheConfig {
+            dir: dir.clone(),
+            max_bytes: 64 * 1024,
+        })
+        .unwrap();
+        assert!(foreign.exists(), "opening the cache scanned the directory");
+        // The first store scans: the entries already there count.
+        store(&cache, 0);
+        assert!(!foreign.exists(), "the first store did not scan");
+        assert_eq!(cache.stats().gc_evicted, 1);
+        // Later stores below the tracked cap do not.
+        plant();
+        for i in 1..32u64 {
+            store(&cache, i);
+        }
+        assert_eq!(cache.stats().stores, 32);
+        assert!(
+            foreign.exists(),
+            "a store below the tracked cap scanned the directory"
+        );
+        assert_eq!(cache.stats().gc_evicted, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

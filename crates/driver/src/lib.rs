@@ -1,16 +1,12 @@
 //! Parallel batch compilation: a work-stealing driver with warm
-//! per-worker caches over a shared global interner.
+//! per-worker caches.
 //!
-//! The pipeline's *mutable* hot state — the kernel's whnf memo and
-//! equivalence cache, the telemetry sink — is thread-local by design,
-//! so workers never contend on it and reports merge after the fact.
-//! The *immutable* hot state, the hash-consed syntax spine, is the
-//! opposite: since S18 the interner is process-global and sharded
-//! (`recmod_syntax::intern`), so `HC<T>` is `Send + Sync` and N
-//! workers share one canonical node per distinct subtree instead of
-//! re-interning N copies. Per-worker memo tables stay sound because
-//! `NodeId`s are now canonical process-wide — a memo key means the
-//! same structure on every thread, it is merely *private* warmth.
+//! Every piece of the pipeline's hot state — the interner tables
+//! (`recmod_syntax::intern`), the kernel's memo tables, the telemetry
+//! sink — is thread-local, so workers never contend on it and reports
+//! merge after the fact. Syntax is `!Send`; what a worker hands back
+//! (verdicts, rendered text, counters) holds no node, and a `NodeId`
+//! only ever meets the memo tables of the thread that minted it.
 //! This crate supplies the scheduler, a zero-dependency work-stealer:
 //!
 //! * jobs are pre-seeded round-robin into one deque per worker;
@@ -345,8 +341,8 @@ fn read_job(path: &Path) -> Result<Job, String> {
 /// Compiles every job and returns the outcomes in input order.
 ///
 /// Spawns `config.jobs` workers (clamped to the job count), each with
-/// its own stack, kernel caches, and telemetry sink over the shared
-/// global interner; idle workers steal from the back of busy workers'
+/// its own stack, interner tables, kernel caches, and telemetry sink;
+/// idle workers steal from the back of busy workers'
 /// deques. See the crate docs for the determinism and warm-cache
 /// arguments. When [`DriverConfig::cache`] is set, each file consults
 /// the artifact cache before compiling and stores its verdict after.

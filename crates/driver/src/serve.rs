@@ -80,7 +80,7 @@ use crate::{FileStatus, DEFAULT_STACK_SIZE};
 /// Version of the `metrics` op document. Independent of the global
 /// [`SCHEMA_VERSION`] (which the document also carries): bump this
 /// when the metrics key set or semantics change.
-pub const METRICS_SCHEMA_VERSION: u64 = 1;
+pub const METRICS_SCHEMA_VERSION: u64 = 2;
 
 /// Exit class for a request shed by admission control.
 pub const EXIT_OVERLOADED: u8 = 5;
@@ -1611,8 +1611,9 @@ impl Server {
     /// The live metrics document served by the `metrics` op:
     /// [`METRICS_SCHEMA_VERSION`]-stamped, carrying the request
     /// counters, response-status counts, queue gauges, the four
-    /// latency/work [`Histogram`]s, cache health, and interner
-    /// occupancy.
+    /// latency/work [`Histogram`]s, cache health, and per-worker busy
+    /// time. (Interner occupancy is per worker thread; the `stats` op's
+    /// `workers` array reports it.)
     ///
     /// With `deterministic`, the document is restricted to the subset
     /// that is a pure function of the request sequence and the fault
@@ -1677,23 +1678,6 @@ impl Server {
         ));
         pairs.push(("compile_nanos", core.metrics.compile.snapshot().to_json()));
         pairs.push(("cache", self.cache_json()));
-        let contended: u64 = core
-            .worker_intern
-            .iter()
-            .map(|m| lock(m).stats.contended)
-            .sum();
-        let shards = intern::shard_occupancy();
-        pairs.push((
-            "intern",
-            Json::obj([
-                ("contended", Json::UInt(contended)),
-                ("entries", Json::UInt(shards.iter().sum())),
-                (
-                    "shards",
-                    Json::Arr(shards.iter().map(|&n| Json::UInt(n)).collect()),
-                ),
-            ]),
-        ));
         let workers: Vec<Json> = core
             .worker_busy
             .iter()
@@ -1795,22 +1779,6 @@ impl Server {
                 out.counter("recmod_cache_events_total", &[("event", event)], n);
             }
             out.gauge("recmod_cache_hit_ratio", &[], c.hit_ratio());
-        }
-        let contended: u64 = core
-            .worker_intern
-            .iter()
-            .map(|m| lock(m).stats.contended)
-            .sum();
-        out.counter("recmod_intern_shard_contended_total", &[], contended);
-        let mut shard_label = String::new();
-        for (i, &n) in intern::shard_occupancy().iter().enumerate() {
-            shard_label.clear();
-            shard_label.push_str(&i.to_string());
-            out.gauge(
-                "recmod_intern_shard_entries",
-                &[("shard", &shard_label)],
-                n as f64,
-            );
         }
         for (wid, busy) in core.worker_busy.iter().enumerate() {
             out.gauge(

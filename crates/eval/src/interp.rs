@@ -12,7 +12,7 @@
 //! cost of opaque recursive modules.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use recmod_syntax::ast::{PrimOp, Term};
 
@@ -46,6 +46,13 @@ pub struct EvalStats {
 }
 
 /// An instrumented evaluator.
+///
+/// Dropping an evaluator empties every `fix` promise it created that is
+/// still alive (see `promises`). A value returned by [`Interp::run`] or
+/// [`Interp::eval`] stays readable after that, but applying a recursive
+/// closure from it, even under another evaluator, reaches the emptied
+/// promise and fails with [`EvalError::BlackHole`]. Keep the evaluator
+/// alive for as long as its recursive values are called.
 #[derive(Debug)]
 pub struct Interp {
     stats: EvalStats,
@@ -53,6 +60,24 @@ pub struct Interp {
     depth: u64,
     max_depth: u64,
     limits: recmod_telemetry::Limits,
+    /// The `fix` promises this evaluator created, held weakly. A filled
+    /// promise and the closures that capture it form an `Rc` cycle, so
+    /// dropping the evaluator empties the promises still alive and the
+    /// run's recursive values are freed. A value that outlives its
+    /// evaluator can still be inspected, but calling into a recursive
+    /// binding through it then meets an empty promise (a black hole).
+    promises: Vec<Weak<RefCell<Option<Rc<Value>>>>>,
+}
+
+impl Drop for Interp {
+    fn drop(&mut self) {
+        for promise in self.promises.drain(..) {
+            if let Some(cell) = promise.upgrade() {
+                let value = cell.borrow_mut().take();
+                drop(value);
+            }
+        }
+    }
 }
 
 impl Default for Interp {
@@ -81,6 +106,7 @@ impl Interp {
             depth: 0,
             max_depth,
             limits,
+            promises: Vec::new(),
         }
     }
 
@@ -95,6 +121,7 @@ impl Interp {
             depth: 0,
             max_depth: limits.eval_depth,
             limits: *limits,
+            promises: Vec::new(),
         }
     }
 
@@ -113,7 +140,8 @@ impl Interp {
         self.stats = EvalStats::default();
     }
 
-    /// Evaluates a closed term in the empty environment.
+    /// Evaluates a closed term in the empty environment. Recursive
+    /// values in the result can be called only while `self` is alive.
     pub fn run(&mut self, e: &Term) -> EvalResult<Rc<Value>> {
         self.eval(&Env::new(), e)
     }
@@ -190,6 +218,12 @@ impl Interp {
             }
             Term::Fix(_, body) => {
                 let cell = Rc::new(RefCell::new(None));
+                if self.promises.len() == self.promises.capacity() {
+                    // Forget promises that died without forming a cycle
+                    // before growing the list.
+                    self.promises.retain(|p| p.strong_count() > 0);
+                }
+                self.promises.push(Rc::downgrade(&cell));
                 let promise = Rc::new(Value::Promise(cell.clone()));
                 let inner = self.extend(env, promise);
                 let v = self.eval(&inner, body)?;
@@ -334,6 +368,53 @@ mod tests {
         );
         let e = app(fact, int(6));
         assert_eq!(run(&e).unwrap().as_int().unwrap(), 720);
+    }
+
+    #[test]
+    fn dropping_the_evaluator_frees_recursive_values() {
+        // fix(f: int⇀int. λn. f n): the closure captures the promise that
+        // is backpatched to the closure itself, an `Rc` cycle.
+        let f = fix(
+            partial(tcon(Con::Int), tcon(Con::Int)),
+            lam(tcon(Con::Int), app(var(1), var(0))),
+        );
+        let mut interp = Interp::new();
+        let v = interp.run(&f).unwrap();
+        assert_eq!(Rc::strong_count(&v), 2, "the promise holds the closure");
+        drop(interp);
+        assert_eq!(
+            Rc::strong_count(&v),
+            1,
+            "dropping the evaluator broke the cycle"
+        );
+    }
+
+    #[test]
+    fn a_recursive_value_black_holes_once_its_evaluator_is_dropped() {
+        // fix(f: int⇀int. λn. if n = 0 then 0 else f (n-1)), called
+        // through the public `Env::push`/`Interp::eval` path.
+        let f = fix(
+            partial(tcon(Con::Int), tcon(Con::Int)),
+            lam(
+                tcon(Con::Int),
+                ite(
+                    prim(PrimOp::Eq, var(0), int(0)),
+                    int(0),
+                    app(var(1), prim(PrimOp::Sub, var(0), int(1))),
+                ),
+            ),
+        );
+        let call = app(var(0), int(3));
+        let mut owner = Interp::new();
+        let v = owner.run(&f).unwrap();
+        let env = Env::new().push(v);
+        let r = Interp::new().eval(&env, &call).unwrap();
+        assert_eq!(r.as_int().unwrap(), 0, "callable while its evaluator lives");
+        drop(owner);
+        assert!(matches!(
+            Interp::new().eval(&env, &call),
+            Err(EvalError::BlackHole)
+        ));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! synthesis with subkinding.
 
 use recmod_syntax::ast::{Con, Kind, Sig};
-use recmod_syntax::intern::hc;
+use recmod_syntax::intern::{hc, Internable};
 use recmod_syntax::subst::{shift_kind, subst_con_kind};
+use recmod_telemetry::{count, Counter};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -23,6 +24,31 @@ impl Tc {
         let _depth = self.descend("synth_con")?;
         self.burn(crate::stats::FuelOp::ConKinding)?;
         let _trace = recmod_telemetry::trace_span(|| format!("{} : ?", show::con(c)));
+        let leaf = matches!(
+            c,
+            Con::Var(_) | Con::Fst(_) | Con::Star | Con::Int | Con::Bool | Con::UnitTy
+        );
+        if leaf || c.fv_bound_shallow() != 0 {
+            return self.synth_con_rule(ctx, c);
+        }
+        // A closed compound constructor: its principal kind does not
+        // depend on the context, so it is memoized by node id. The node
+        // is held until the entry is stored, so the kind's own copy of
+        // `c` (selfification) shares its id.
+        let node = hc(c.clone());
+        if let Some(k) = self.closed_kind_cached(node.id()) {
+            count(Counter::KernelSynthCacheHit, 1);
+            return Ok(k);
+        }
+        count(Counter::KernelSynthCacheMiss, 1);
+        let k = self.synth_con_rule(ctx, c)?;
+        self.closed_kind_remember(node.id(), k.clone());
+        Ok(k)
+    }
+
+    /// The kinding rule for `c`'s head former (appendix A.1), below the
+    /// closed-kind memo of [`Tc::synth_con`].
+    fn synth_con_rule(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Kind> {
         match c {
             Con::Var(i) => {
                 let k = ctx.lookup_con(*i)?;
@@ -202,6 +228,54 @@ mod tests {
             tc.synth_con(&mut ctx, &cvar(0)),
             Err(TypeError::Unbound { .. })
         ));
+    }
+
+    #[test]
+    fn failed_kinding_is_not_memoized() {
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        // The closed component int × bool kinds fine and is memoized;
+        // the closed root fails (* is not a monotype) and is not.
+        let part = cprod(Con::Int, Con::Bool);
+        let bad = carrow(part.clone(), Con::Star);
+        for _ in 0..2 {
+            assert!(tc.synth_con(&mut ctx, &bad).is_err());
+        }
+        let table = tc.closed_kind.borrow();
+        assert!(table.contains_key(&hc(part).id()));
+        assert!(!table.contains_key(&hc(bad).id()));
+        // The second failing run re-derived the root: one miss per run.
+        assert_eq!(tc.stats().synth_cache_misses, 3);
+    }
+
+    #[test]
+    fn open_constructors_bypass_the_table() {
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        ctx.with_con(tkind(), |ctx| {
+            let open = carrow(cvar(0), Con::Int);
+            for _ in 0..2 {
+                assert_eq!(tc.synth_con(ctx, &open).unwrap(), q(open.clone()));
+            }
+        });
+        assert!(tc.closed_kind.borrow().is_empty());
+        let stats = tc.stats();
+        assert_eq!((stats.synth_cache_hits, stats.synth_cache_misses), (0, 0));
+    }
+
+    #[test]
+    fn renew_keeps_the_closed_kind_memo() {
+        let mut tc = Tc::new();
+        let mut ctx = Ctx::new();
+        let c = mu(tkind(), carrow(Con::Int, cvar(0)));
+        let k = tc.synth_con(&mut ctx, &c).unwrap();
+        tc.renew(crate::Limits::default());
+        let before = tc.stats();
+        assert_eq!(tc.synth_con(&mut Ctx::new(), &c).unwrap(), k);
+        let delta = tc.stats().delta_since(&before);
+        assert_eq!(delta.synth_cache_hits, 1);
+        // A hit burns the one fuel unit of the call and nothing below it.
+        assert_eq!(delta.fuel_used(), 1);
     }
 
     #[test]

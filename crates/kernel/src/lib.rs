@@ -59,7 +59,7 @@ use recmod_syntax::fxhash::{FxHashMap, FxHashSet};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 
-use recmod_syntax::ast::Con;
+use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::NodeId;
 use recmod_telemetry::Counts;
 
@@ -165,6 +165,16 @@ pub struct Tc {
     /// [`CACHE_CAP`]) — exactly what a serve worker re-checking the
     /// same recursive signatures wants.
     mu_unroll: RefCell<FxHashMap<NodeId, Con>>,
+    /// Principal kinds of closed constructors, keyed by constructor id.
+    /// A closed constructor (`fv_bound() == 0`) looks nothing up in the
+    /// context, so it is kinded the same way in every context: like the
+    /// μ memos, this table is context-free, stays warm across
+    /// [`Tc::renew`] and is bounded by [`CACHE_CAP`]. Only successful
+    /// kindings are recorded.
+    closed_kind: RefCell<FxHashMap<NodeId, Kind>>,
+    /// `false` only for [`Tc::without_memos`]: every memo table above
+    /// is then bypassed.
+    memos: bool,
     /// Keeps `Tc` on the thread whose counters it reads.
     _one_thread: PhantomData<*const ()>,
 }
@@ -224,7 +234,21 @@ impl Tc {
             equiv_cache: RefCell::new(FxHashSet::default()),
             mu_contractive: RefCell::new(FxHashMap::default()),
             mu_unroll: RefCell::new(FxHashMap::default()),
+            closed_kind: RefCell::new(FxHashMap::default()),
+            memos: true,
             _one_thread: PhantomData,
+        }
+    }
+
+    /// A checker with every memo table switched off: no whnf,
+    /// equivalence, μ or closed-kind memo is read or written. For the
+    /// differential tests that check the memos are verdict-invisible;
+    /// not a production configuration.
+    #[doc(hidden)]
+    pub fn without_memos(mode: RecMode, limits: Limits) -> Self {
+        Tc {
+            memos: false,
+            ..Self::with_mode_and_limits(mode, limits)
         }
     }
 
@@ -309,14 +333,23 @@ impl Tc {
         self.whnf_cache.borrow().get(&key).cloned()
     }
 
-    /// Records a weak-head normal form (clearing the table first when it
-    /// has outgrown [`CACHE_CAP`]).
-    pub(crate) fn whnf_remember(&self, key: (u64, NodeId), value: Con) {
-        let mut t = self.whnf_cache.borrow_mut();
+    /// Inserts into a memo table, clearing it first when it has outgrown
+    /// [`CACHE_CAP`]; a no-op when memos are off.
+    fn remember<K: std::hash::Hash + Eq, V>(&self, table: &RefCell<FxHashMap<K, V>>, k: K, v: V) {
+        if !self.memos {
+            return;
+        }
+        let mut t = table.borrow_mut();
         if t.len() >= CACHE_CAP {
             t.clear();
         }
-        t.insert(key, value);
+        t.insert(k, v);
+    }
+
+    /// Records a weak-head normal form (clearing the table first when it
+    /// has outgrown [`CACHE_CAP`]).
+    pub(crate) fn whnf_remember(&self, key: (u64, NodeId), value: Con) {
+        self.remember(&self.whnf_cache, key, value);
     }
 
     /// [`whnf::is_contractive`], memoized per interned node. The raw
@@ -333,11 +366,7 @@ impl Tc {
             return v;
         }
         let v = whnf::is_contractive(c);
-        let mut t = self.mu_contractive.borrow_mut();
-        if t.len() >= CACHE_CAP {
-            t.clear();
-        }
-        t.insert(id, v);
+        self.remember(&self.mu_contractive, id, v);
         v
     }
 
@@ -357,12 +386,18 @@ impl Tc {
             return Ok(u.clone());
         }
         let u = whnf::unroll_mu(c)?;
-        let mut t = self.mu_unroll.borrow_mut();
-        if t.len() >= CACHE_CAP {
-            t.clear();
-        }
-        t.insert(id, u.clone());
+        self.remember(&self.mu_unroll, id, u.clone());
         Ok(u)
+    }
+
+    /// Looks up the memoized principal kind of a closed constructor.
+    pub(crate) fn closed_kind_cached(&self, id: NodeId) -> Option<Kind> {
+        self.closed_kind.borrow().get(&id).cloned()
+    }
+
+    /// Records the principal kind of a closed constructor.
+    pub(crate) fn closed_kind_remember(&self, id: NodeId, k: Kind) {
+        self.remember(&self.closed_kind, id, k);
     }
 
     /// Has this kind-`T` equality already been proven?
@@ -373,6 +408,9 @@ impl Tc {
     /// Records proven kind-`T` equalities (both orientations — the
     /// judgement is symmetric).
     pub(crate) fn equiv_remember(&self, stamp: u64, a: NodeId, b: NodeId) {
+        if !self.memos {
+            return;
+        }
         let mut t = self.equiv_cache.borrow_mut();
         if t.len() >= CACHE_CAP {
             t.clear();
@@ -381,13 +419,14 @@ impl Tc {
         t.insert((stamp, b, a));
     }
 
-    /// Drops every memoized whnf/equivalence/μ entry (the interning
-    /// tables in `recmod-syntax` are untouched).
+    /// Drops every memoized whnf/equivalence/μ/closed-kind entry (the
+    /// interning tables in `recmod-syntax` are untouched).
     pub fn clear_caches(&self) {
         self.whnf_cache.borrow_mut().clear();
         self.equiv_cache.borrow_mut().clear();
         self.mu_contractive.borrow_mut().clear();
         self.mu_unroll.borrow_mut().clear();
+        self.closed_kind.borrow_mut().clear();
     }
 
     /// Re-arms the checker for a fresh run under new [`Limits`] while
@@ -409,9 +448,10 @@ impl Tc {
     /// otherwise pin interned nodes forever — a long-lived serve
     /// worker's tables would ratchet upward with every request even
     /// though its live working set is flat.
-    /// The μ-memo tables (contractiveness, unrollings) are keyed by
-    /// node id alone — context-free facts — so they carry over without
-    /// pruning; [`CACHE_CAP`] bounds them instead.
+    /// The μ-memo tables (contractiveness, unrollings) and the
+    /// closed-kind table are keyed by node id alone — context-free facts
+    /// — so they carry over without pruning; [`CACHE_CAP`] bounds them
+    /// instead.
     pub fn renew(&mut self, limits: Limits) {
         recmod_telemetry::restart_marks();
         self.set_fuel(limits.fuel);

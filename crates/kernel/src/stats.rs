@@ -125,11 +125,10 @@ pub struct KernelStats {
     /// Never bumped: always 0. Kept only because the benchmark
     /// (`perfbench/`) reads it; nothing else does.
     pub env_allocs: u64,
-    /// Never bumped: always 0. Kept only because the benchmark
-    /// (`perfbench/`) reads it; nothing else does.
+    /// Closed-constructor kindings answered from the principal-kind
+    /// memo.
     pub synth_cache_hits: u64,
-    /// Never bumped: always 0. Kept only because the benchmark
-    /// (`perfbench/`) reads it; nothing else does.
+    /// Closed-constructor kindings that ran the kinding rules.
     pub synth_cache_misses: u64,
 }
 
@@ -147,6 +146,8 @@ impl KernelStats {
             whnf_cache_misses: counts.get(Counter::KernelWhnfCacheMiss),
             equiv_ptr_eqs: counts.get(Counter::KernelEquivPtrEq),
             equiv_cache_hits: counts.get(Counter::KernelEquivCacheHit),
+            synth_cache_hits: counts.get(Counter::KernelSynthCacheHit),
+            synth_cache_misses: counts.get(Counter::KernelSynthCacheMiss),
             ..KernelStats::default()
         }
     }
@@ -203,6 +204,12 @@ impl KernelStats {
             equiv_cache_hits: self
                 .equiv_cache_hits
                 .saturating_sub(earlier.equiv_cache_hits),
+            synth_cache_hits: self
+                .synth_cache_hits
+                .saturating_sub(earlier.synth_cache_hits),
+            synth_cache_misses: self
+                .synth_cache_misses
+                .saturating_sub(earlier.synth_cache_misses),
             ..KernelStats::default()
         }
     }

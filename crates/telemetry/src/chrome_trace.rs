@@ -169,7 +169,9 @@ fn sample_events(s: &CounterSample, tid: u64, out: &mut Vec<Json>) {
 }
 
 /// Exports the lanes and file events as one Trace Event Format JSON
-/// document (object form, with `schema_version` and `traceEvents`).
+/// document (object form, with `schema_version`, `traceEvents` and a
+/// `metadata` object counting the spans the lanes dropped past their
+/// span cap — a non-zero count means the timeline is incomplete).
 pub fn export(process_name: &str, lanes: &[Lane<'_>], files: &[FileEvent]) -> Json {
     export_session(process_name, lanes, files, &[])
 }
@@ -205,9 +207,14 @@ pub fn export_session(
     for m in marks {
         events.push(instant(&m.name, m.tid, m.at_nanos));
     }
+    let spans_dropped = lanes.iter().map(|l| l.report.spans_dropped).sum();
     Json::obj([
         ("schema_version", Json::UInt(SCHEMA_VERSION)),
         ("displayTimeUnit", Json::str("ms")),
+        (
+            "metadata",
+            Json::obj([("spans_dropped", Json::UInt(spans_dropped))]),
+        ),
         ("traceEvents", Json::Arr(events)),
     ])
 }
@@ -271,5 +278,35 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("whnf_hit_rate")));
+    }
+
+    #[test]
+    fn metadata_counts_the_spans_every_lane_dropped() {
+        let a = Report {
+            spans_dropped: 3,
+            ..Report::default()
+        };
+        let b = Report {
+            spans_dropped: 4,
+            ..Report::default()
+        };
+        let lanes = [
+            Lane {
+                tid: 0,
+                name: "worker 0".into(),
+                report: &a,
+            },
+            Lane {
+                tid: 1,
+                name: "worker 1".into(),
+                report: &b,
+            },
+        ];
+        let doc = export("recmodc", &lanes, &[]);
+        let dropped = doc
+            .get("metadata")
+            .and_then(|m| m.get("spans_dropped"))
+            .and_then(Json::as_u64);
+        assert_eq!(dropped, Some(7));
     }
 }

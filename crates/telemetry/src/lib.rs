@@ -53,7 +53,6 @@
 //! | `stage.*`    | pipeline stage timers (written by [`stage`])      |
 //! | `internal.*` | last-resort accounting (caught panics, …)         |
 //! | `cache.*`    | the driver's on-disk artifact cache               |
-//! | `intern.*`   | the global interner's shard-level traffic         |
 //!
 //! Marks (names ending in `.hwm`) merge with `max` rather than `+`, and
 //! a view reports their current value instead of subtracting: a mark

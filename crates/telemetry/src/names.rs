@@ -80,10 +80,11 @@ registry! {
     KernelWhnfCacheMiss = "kernel.whnf_cache_miss";
     KernelEquivPtrEq = "kernel.equiv_ptr_eq";
     KernelEquivCacheHit = "kernel.equiv_cache_hit";
+    KernelSynthCacheHit = "kernel.synth_cache_hit";
+    KernelSynthCacheMiss = "kernel.synth_cache_miss";
     SyntaxInternHit = "syntax.intern_hit";
     SyntaxInternMiss = "syntax.intern_miss";
     SyntaxInternSweeps = "syntax.intern_sweeps";
-    InternShardContended = "intern.shard.contended";
     SurfaceTopdecs = "surface.topdecs";
     PhaseSplitCalls = "phase.split_calls";
     PhaseVerifyCalls = "phase.verify_calls";
@@ -175,12 +176,9 @@ impl Stage {
 }
 
 /// The namespaces production counters may use. `cache` is the driver's
-/// on-disk artifact cache; `intern` is the sharded global interner's
-/// shard-level traffic (per-node hit/miss stays under `syntax.intern_*`
-/// for continuity).
+/// on-disk artifact cache; the interner counts under `syntax.intern_*`.
 pub const NAMESPACES: &[&str] = &[
     "kernel", "syntax", "surface", "phase", "eval", "driver", "stage", "internal", "cache",
-    "intern",
 ];
 
 /// Is `name` a well-formed production counter name: a known namespace,

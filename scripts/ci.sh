@@ -29,6 +29,15 @@ cargo test --workspace -q
 echo "== bounded fuzz (2000 seeded iterations) =="
 FUZZ_ITERS=2000 cargo test -q -p recmod-tests --release --test fuzz
 
+echo "== memo-free differential (2000 seeded iterations) =="
+# Gating: the kernel's memo tables (whnf, equivalence, both μ memos,
+# closed-constructor kinds) must be verdict-invisible. Each case compiles
+# a corpus, generated or mutated program with a normal checker and with
+# one whose memos are all off, and compares status, diagnostics and
+# rendered output.
+FUZZ_ITERS=2000 FUZZ_CLASS=memo-free-differential \
+  cargo test -q -p recmod-tests --release --test fuzz
+
 echo "== benchmark build (perfbench against the current workspace API) =="
 # The benchmark in perfbench/ is a separate package that compiles
 # against the workspace crates. Building it here, and running its

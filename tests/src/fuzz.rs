@@ -1,7 +1,7 @@
 //! The seeded fuzzing + differential harness.
 //!
 //! Every case is fully determined by one `u64` seed (SplitMix64), so a
-//! failure report is a reproduction recipe. A seed drives one of nine
+//! failure report is a reproduction recipe. A seed drives one of ten
 //! case classes:
 //!
 //! * **Expression differential** — a random well-typed expression
@@ -28,13 +28,11 @@
 //!   bottom-up rebuild through fresh intern calls must converge on the
 //!   identical canonical pointers.
 //! * **Thread isolation** — a batch of (possibly mutated) programs is
-//!   compiled through the parallel driver on two workers (sharing only
-//!   the global interner) and again on one; the outcomes must be
-//!   byte-identical, no compile may panic, neither the calling thread's
-//!   per-thread interner counters nor its telemetry sink may see any
-//!   bleed from the workers, and concurrent interning of
-//!   structurally-equal nodes from several threads must converge on one
-//!   canonical `NodeId` each.
+//!   compiled through the parallel driver on two workers (each with
+//!   its own interner) and again on one; the outcomes must be
+//!   byte-identical, no compile may panic, and neither the calling
+//!   thread's interner counters nor its telemetry sink may see any
+//!   bleed from the workers.
 //! * **Profiled differential** — the same (possibly mutated) program is
 //!   compiled with no telemetry sink and under a full profiling sink
 //!   (`Config::profiled`); the verdicts and rendered diagnostics must
@@ -51,6 +49,13 @@
 //!   must get exactly one response, every verdict must match the
 //!   unfaulted batch driver's byte for byte, and the server must drain
 //!   with no leaked workers and a balanced flight recorder.
+//! * **Memo-free differential** — a corpus program, a `recmod-bench`
+//!   generated program or a mutation of either is compiled by a normal
+//!   checker and by one with every kernel memo off
+//!   ([`Tc::without_memos`]); status, structured diagnostics and
+//!   rendered output must be identical. Generated μ-constructor pairs
+//!   are compared the same way in every recursion mode. The memos may
+//!   save work, never change a verdict.
 //!
 //! The driver ([`run_case`]) reports `Err(description)` on any
 //! disagreement; panics are caught by the caller (`tests/fuzz.rs`)
@@ -622,13 +627,10 @@ fn case_intern_differential(rng: &mut Rng) -> Result<(), String> {
 /// the parallel driver on two workers and on one, then checks:
 /// identical outcomes (order, status, diagnostics), no internal-error
 /// statuses from worker panics, merged worker counters summing to the
-/// batch size, and zero bleed into the calling thread's *per-thread*
-/// interner counters or telemetry sink. Workers share the global
-/// interner by design (that is the point of the sharded table), so the
-/// isolation invariant is about observation — counters, memo caches,
-/// sinks — not about structure; a final check spawns N threads
-/// interning the same random constructor concurrently and asserts they
-/// all converge on one canonical `NodeId` per structurally-equal node.
+/// batch size, and zero bleed into the calling thread's interner
+/// counters or telemetry sink. Every worker owns its interner tables,
+/// memo caches and sink, so nothing a worker does may be observable on
+/// the calling thread.
 fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
     use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
     use recmod::telemetry::Counter;
@@ -725,41 +727,6 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
         ));
     }
 
-    // Shared-interner canonicity: N threads interning the same random
-    // constructor concurrently must agree on one canonical id per node.
-    // Each thread keeps its handles alive across the comparison —
-    // canonicity is only promised among live holders (entries are weak).
-    let seed = rng.next_u64();
-    let size = rng.range(1, 10);
-    let threads = rng.range(2, 5);
-    let per_thread: Vec<Vec<recmod::syntax::intern::HC<Con>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    use recmod::syntax::intern::hc;
-                    let (a, b) = recmod_bench::gen_nested_pair(size, seed);
-                    vec![hc(a), hc(b)]
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("interning thread panicked"))
-            .collect()
-    });
-    let first = &per_thread[0];
-    for (t, held) in per_thread.iter().enumerate().skip(1) {
-        for (i, (x, y)) in first.iter().zip(held).enumerate() {
-            if x.id() != y.id() {
-                return Err(format!(
-                    "concurrent interning disagreed on canonical id: thread 0 node {i} \
-                     has id {:?}, thread {t} has {:?} (seed {seed}, size {size})",
-                    x.id(),
-                    y.id()
-                ));
-            }
-        }
-    }
     Ok(())
 }
 
@@ -771,9 +738,8 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
 /// full profiling sink. Returns the verdict (ok?), the rendered
 /// diagnostics, the stable error codes, and whether any spans were
 /// recorded. A fresh thread per compile keeps the verdict a pure
-/// function of the source: neither run can warm the other's
-/// thread-local memo caches (the global interner is shared, but
-/// interning only dedups structure — it never changes a verdict).
+/// function of the source: neither run can warm the other's memo
+/// caches or interner tables, all of which are per thread.
 #[allow(clippy::type_complexity)]
 fn compile_fresh(
     src: &str,
@@ -1108,12 +1074,106 @@ fn case_chaos_serve(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
+// Class 10: memo-free differential (the kernel memos are verdict-invisible)
+// ---------------------------------------------------------------------
+
+/// A program for the memo-free differential: a corpus entry, a
+/// generated module chain or recursive-datatype program, or a mutation
+/// of any of them.
+fn memo_source(rng: &mut Rng) -> String {
+    let base = match rng.below(3) {
+        0 => {
+            let corpus = recmod::corpus::all();
+            corpus[rng.below(corpus.len() as u64) as usize]
+                .source
+                .to_string()
+        }
+        1 => recmod_bench::gen_module_chain(rng.range(1, 12)),
+        _ => recmod_bench::gen_rec_datatypes(rng.range(1, 6)),
+    };
+    if rng.chance(1, 3) {
+        mutate(rng, &base)
+    } else {
+        base
+    }
+}
+
+/// One compile's observable output: status, structured diagnostics (as
+/// JSON) and rendered lines (summaries on success, error messages on
+/// failure). `None` when a resource limit decided the run, since the
+/// memo-free checker legitimately burns more fuel.
+fn observed_compile(src: &str, tc: Tc) -> Option<(bool, Vec<String>, Vec<String>)> {
+    let elab = recmod::surface::elab::Elaborator::with_tc(tc);
+    match recmod::surface::pipeline::compile_with_limits_in(elab, src) {
+        Ok(compiled) => Some((
+            true,
+            Vec::new(),
+            compiled
+                .summaries()
+                .into_iter()
+                .map(|(n, d)| format!("{n} : {d}"))
+                .collect(),
+        )),
+        Err((errors, _)) if errors.iter().any(|e| e.is_limit()) => None,
+        Err((errors, _)) => Some((
+            false,
+            recmod::surface::diag::from_errors(src, &errors)
+                .iter()
+                .map(|d| d.to_json().to_compact())
+                .collect(),
+            errors.iter().map(|e| format!("{e}")).collect(),
+        )),
+    }
+}
+
+fn case_memo_free_differential(rng: &mut Rng) -> Result<(), String> {
+    let limits = Limits::default().with_deadline_ms(10_000);
+    if rng.chance(1, 4) {
+        // Kernel level: generated μ pairs in every recursion mode.
+        let seed = rng.next_u64();
+        let size = rng.range(1, 10);
+        let (a, b) = match rng.below(3) {
+            0 => recmod_bench::gen_shao_pair(size, seed),
+            1 => recmod_bench::gen_unrolled_pair(size, seed),
+            _ => recmod_bench::gen_nested_pair(size, seed),
+        };
+        for mode in [RecMode::Equi, RecMode::Iso, RecMode::IsoShao] {
+            let run = |tc: Tc| tc.con_equiv(&mut Ctx::new(), &a, &b, &Kind::Type);
+            let memo = run(Tc::with_mode_and_limits(mode, limits));
+            let bare = run(Tc::without_memos(mode, limits));
+            let inconclusive = [&memo, &bare]
+                .iter()
+                .any(|r| r.as_ref().is_err_and(limited));
+            if !inconclusive
+                && memo.as_ref().err().map(ToString::to_string)
+                    != bare.as_ref().err().map(ToString::to_string)
+            {
+                return Err(format!(
+                    "memos changed a {mode:?} equivalence verdict (seed {seed}, size {size}): \
+                     {memo:?} vs memo-free {bare:?}"
+                ));
+            }
+        }
+        return Ok(());
+    }
+    let src = memo_source(rng);
+    let memo = observed_compile(&src, Tc::with_limits(limits));
+    let bare = observed_compile(&src, Tc::without_memos(RecMode::Equi, limits));
+    match (memo, bare) {
+        (Some(m), Some(b)) if m != b => Err(format!(
+            "memos changed the output on {src:?}: {m:?} vs memo-free {b:?}"
+        )),
+        _ => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
 /// Human-readable class name for a seed (for failure reports).
 pub fn case_class(seed: u64) -> &'static str {
-    match seed % 9 {
+    match seed % 10 {
         0 => "expression-differential",
         1 => "module-differential",
         2 => "ill-formed-input",
@@ -1122,7 +1182,8 @@ pub fn case_class(seed: u64) -> &'static str {
         5 => "thread-isolation",
         6 => "profiled-differential",
         7 => "diagnostics-total",
-        _ => "chaos-serve",
+        8 => "chaos-serve",
+        _ => "memo-free-differential",
     }
 }
 
@@ -1131,7 +1192,7 @@ pub fn case_class(seed: u64) -> &'static str {
 /// the caller to catch (they are always bugs).
 pub fn run_case(seed: u64) -> Result<(), String> {
     let mut rng = Rng::new(seed);
-    match seed % 9 {
+    match seed % 10 {
         0 => case_expression_differential(&mut rng),
         1 => case_module_differential(&mut rng),
         2 => case_ill_formed(&mut rng),
@@ -1140,7 +1201,8 @@ pub fn run_case(seed: u64) -> Result<(), String> {
         5 => case_thread_isolation(&mut rng),
         6 => case_profiled_differential(&mut rng),
         7 => case_diagnostics_total(&mut rng),
-        _ => case_chaos_serve(&mut rng),
+        8 => case_chaos_serve(&mut rng),
+        _ => case_memo_free_differential(&mut rng),
     }
 }
 

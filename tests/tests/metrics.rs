@@ -170,7 +170,6 @@ fn metrics_document_schema_is_golden() {
             "cache",
             "compile_nanos",
             "deterministic",
-            "intern",
             "kind",
             "latency_nanos",
             "metrics_schema_version",
@@ -234,15 +233,6 @@ fn metrics_document_schema_is_golden() {
     // pinned by the sources above.
     let answered: u64 = ["ok", "error"].iter().map(|k| as_u64(status, k)).sum();
     assert_eq!(answered, SOURCES.len() as u64);
-    let intern = get(&doc, "intern");
-    assert_eq!(obj_keys(intern), ["contended", "entries", "shards"]);
-    assert_eq!(
-        get(intern, "shards")
-            .as_arr()
-            .expect("shards must be an array")
-            .len(),
-        recmod::syntax::intern::SHARD_COUNT
-    );
     let workers = get(&doc, "workers")
         .as_arr()
         .expect("workers must be an array");
